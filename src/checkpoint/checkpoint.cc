@@ -55,14 +55,20 @@ uint64_t LoadU64(const uint8_t* p) {
   return v;
 }
 
+// One sized read of the whole file. A short (truncated) file is not an error
+// here: its bytes come back and the framing or manifest check rejects them.
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return NotFoundError("cannot open " + path);
   }
-  std::vector<uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
-  if (in.bad()) {
+  std::error_code ec;
+  const uintmax_t size = fs::file_size(path, ec);  // Fails on a directory.
+  if (ec) {
+    return DataLossError("read error on " + path);
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(size));
+  if (!in.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size))) {
     return DataLossError("read error on " + path);
   }
   return bytes;
@@ -153,9 +159,13 @@ void CheckpointWriter::WriteString(std::string_view s) {
   buffer_.insert(buffer_.end(), s.begin(), s.end());
 }
 
-void CheckpointWriter::WriteBytes(const std::vector<uint8_t>& bytes) {
-  WriteU32(static_cast<uint32_t>(bytes.size()));
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+void CheckpointWriter::WriteBytes(const std::vector<uint8_t>& bytes) { WriteBytes(bytes, {}); }
+
+void CheckpointWriter::WriteBytes(const std::vector<uint8_t>& head,
+                                  const std::vector<uint8_t>& tail) {
+  WriteU32(static_cast<uint32_t>(head.size() + tail.size()));
+  buffer_.insert(buffer_.end(), head.begin(), head.end());
+  buffer_.insert(buffer_.end(), tail.begin(), tail.end());
 }
 
 const std::vector<uint8_t>& CheckpointWriter::buffer() const {

@@ -55,6 +55,9 @@ class CheckpointWriter {
   void WriteDouble(double v);
   void WriteString(std::string_view s);
   void WriteBytes(const std::vector<uint8_t>& bytes);
+  // The same field as WriteBytes(head + tail), without building the
+  // concatenation (a batch header before cached records).
+  void WriteBytes(const std::vector<uint8_t>& head, const std::vector<uint8_t>& tail);
 
   // The framed file image (header + completed sections). Must not be inside
   // an open section.

@@ -82,12 +82,13 @@ FigureReport AnalyzeLatency(const MethodAggregator& agg) {
   report.tables.push_back(cmp.Build());
 
   // Heatmap-style summary: method deciles (by median RCT) x latency quantiles.
+  // No rows when no method has the 100 samples a decile needs.
   std::vector<const MethodAccum*> eligible = agg.Eligible(100);
   std::sort(eligible.begin(), eligible.end(), [](const MethodAccum* a, const MethodAccum* b) {
     return a->rct.Quantile(0.5) < b->rct.Quantile(0.5);
   });
   TextTable heat({"method decile", "P1", "P10", "P50", "P90", "P99"});
-  for (int d = 0; d < 10; ++d) {
+  for (int d = 0; d < 10 && !eligible.empty(); ++d) {
     const size_t idx =
         std::min(eligible.size() - 1, (eligible.size() * (2 * static_cast<size_t>(d) + 1)) / 20);
     const MethodAccum* m = eligible[idx];

@@ -448,34 +448,18 @@ MiniFleetResult MiniFleet::Collect() {
   for (const auto& fe : frontends_) {
     result.root_calls += fe->root_count;
   }
-  if (system_.num_shards() > 1) {
+  const bool sharded = system_.num_shards() > 1;
+  if (sharded) {
     result.events_executed = system_.TotalEventsExecuted();
     result.event_digest = system_.ShardedEventDigest();
-    result.rounds = system_.last_rounds();
-    result.cross_domain_events = system_.last_cross_domain_events();
-    const std::vector<Span> merged = system_.MergedSpans();
-    result.spans.reserve(merged.size());
-    for (const Span& span : merged) {
-      if (span.start_time >= options_.warmup) {
-        result.spans.push_back(span);
-        ++result.spans_per_service[span.service_id];
-      }
-    }
   } else {
     result.events_executed = system_.sim().events_executed();
     result.event_digest = system_.sim().event_digest();
-    // The executor's single-domain fast path reports one round, so per-round
-    // derived stats stay meaningful across shard counts.
-    result.rounds = system_.last_rounds();
-    result.cross_domain_events = system_.last_cross_domain_events();
-    result.spans.reserve(system_.tracer().spans().size());
-    for (const Span& span : system_.tracer().spans()) {
-      if (span.start_time >= options_.warmup) {
-        result.spans.push_back(span);
-        ++result.spans_per_service[span.service_id];
-      }
-    }
   }
+  // The executor's single-domain fast path reports one round, so per-round
+  // derived stats stay meaningful across shard counts.
+  result.rounds = system_.last_rounds();
+  result.cross_domain_events = system_.last_cross_domain_events();
 
   result.policy_version = system_.shard(0).policy.version();
   result.policy_stages_applied = system_.shard(0).policy.stages_applied();
@@ -487,7 +471,14 @@ MiniFleetResult MiniFleet::Collect() {
     result.avoided_tax_cycles += metrics.GetCounter("client.avoided_tax_cycles").value();
   }
 
-  if (const ObservabilityHub* hub = system_.hub(); hub != nullptr) {
+  // The canonical merge, made once: the replay below aggregates all of it,
+  // and sharded runs then keep its post-warmup part as result.spans.
+  const ObservabilityHub* hub = system_.hub();
+  std::vector<Span> merged;
+  if (sharded || hub != nullptr) {
+    merged = system_.MergedSpans();
+  }
+  if (hub != nullptr) {
     result.streamed_aggregate_digest = hub->AggregateDigest();
     result.exemplar_digest = hub->ExemplarDigest();
     result.spans_streamed = hub->spans_ingested();
@@ -503,7 +494,27 @@ MiniFleetResult MiniFleet::Collect() {
     // a fresh hub. Equal aggregate digests prove the barrier-streamed
     // pipeline lost nothing and double-counted nothing.
     result.replayed_aggregate_digest =
-        ReplayIntoHub(system_.MergedSpans(), options_.observability).AggregateDigest();
+        ReplayIntoHub(merged, options_.observability).AggregateDigest();
+  }
+  if (sharded) {
+    // Sorted by start time, so the pre-warmup spans are a prefix.
+    merged.erase(merged.begin(),
+                 std::partition_point(merged.begin(), merged.end(), [this](const Span& span) {
+                   return span.start_time < options_.warmup;
+                 }));
+    result.spans = std::move(merged);
+  } else {
+    // Single-domain runs keep record order. Free the merge before copying.
+    std::vector<Span>().swap(merged);
+    result.spans.reserve(system_.tracer().spans().size());
+    for (const Span& span : system_.tracer().spans()) {
+      if (span.start_time >= options_.warmup) {
+        result.spans.push_back(span);
+      }
+    }
+  }
+  for (const Span& span : result.spans) {
+    ++result.spans_per_service[span.service_id];
   }
   return result;
 }

@@ -157,7 +157,8 @@ class MiniFleet {
 
   // Runs the sharded executor until every queue drains, closing hub windows
   // only up to `flush_watermark` (pass the epoch end; kMaxSimTime on the
-  // final segment). Returns the executor round count for the segment.
+  // final segment). Returns the number of events the segment executed; the
+  // segment's round count is system().last_rounds().
   uint64_t RunSegment(SimTime flush_watermark);
 
   // Rewinds every shard clock to the common epoch boundary after a segment

@@ -577,12 +577,18 @@ void ShardStreamSink::FlushInto(ObservabilityHub& hub, SimTime watermark) {
 }
 
 ObservabilityHub ReplayIntoHub(const std::vector<Span>& spans, ObservabilityOptions options) {
-  // Lift the cap: the reference path buffers everything once, then flushes.
-  options.max_buffered_spans = spans.size() + 1;
+  // Flush whenever the buffer fills, before the cap could drop an exemplar.
+  // No window closes before the final watermark, aggregates are ingest-order
+  // independent and the hub sees exemplars in input order, so both digests
+  // equal those of one flush of an uncapped buffer.
+  options.max_buffered_spans = std::max<size_t>(options.max_buffered_spans, 1);
   ObservabilityHub hub(options);
   ShardStreamSink sink(options);
   for (const Span& span : spans) {
     sink.OnSpan(span);
+    if (sink.buffered_spans() == options.max_buffered_spans) {
+      sink.FlushInto(hub, kMinSimTime);
+    }
   }
   sink.FlushInto(hub, kMaxSimTime);
   hub.AdvanceWatermark(kMaxSimTime);

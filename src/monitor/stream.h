@@ -321,13 +321,16 @@ class ShardStreamSink : public TraceSink {
 };
 
 // Post-run reference aggregation: feeds every span through a fresh
-// sink + hub pair with one final flush. Tests compare its AggregateDigest
-// against the barrier-streamed hub's to prove the streamed pipeline lost
-// nothing (docs/OBSERVABILITY.md). The cap is lifted so exemplar candidates
-// are never dropped by buffering (reservoir policy still applies). Digests
-// are comparable as long as neither hub evicted windows (windows_evicted()
-// == 0) — retention eviction is deliberately lossy, so runs spanning more
-// than max_windows windows digest only the retained suffix.
+// sink + hub pair, flushing the sink every `max_buffered_spans` spans (at
+// least 1) and advancing the watermark once, at the end. Tests compare its
+// AggregateDigest against the barrier-streamed hub's to prove the streamed
+// pipeline lost nothing (docs/OBSERVABILITY.md). Flushing before the buffer
+// overflows means exemplar candidates are never dropped by buffering
+// (reservoir policy still applies), and both digests equal those of a single
+// flush of an uncapped buffer. Digests are comparable as long as neither hub
+// evicted windows (windows_evicted() == 0) — retention eviction is
+// deliberately lossy, so runs spanning more than max_windows windows digest
+// only the retained suffix.
 ObservabilityHub ReplayIntoHub(const std::vector<Span>& spans, ObservabilityOptions options);
 
 }  // namespace rpcscope

@@ -1,6 +1,7 @@
 #include "src/rpc/rpc_system.h"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "src/checkpoint/checkpoint.h"
@@ -339,28 +340,42 @@ uint64_t RpcSystem::ShardedEventDigest() const {
 }
 
 std::vector<Span> RpcSystem::MergedSpans() const {
-  std::vector<Span> merged;
+  // Canonical order: virtual start time, then trace/span id as tiebreakers.
+  // Ids are fleet-unique (per-shard id_offset ranges), so the order is total
+  // and independent of shard interleaving or worker count; equal keys keep
+  // their shard-then-record position, as a stable sort would. Sorting 32-byte
+  // keys and gathering once copies each span once.
+  struct Key {
+    SimTime start_time;
+    TraceId trace_id;
+    SpanId span_id;
+    uint64_t position;  // shard << kShardShift | index within the shard.
+  };
+  constexpr int kShardShift = 40;
+  std::vector<Key> keys;
   size_t total = 0;
   for (const auto& shard : shards_) {
     total += shard->tracer.spans().size();
   }
-  merged.reserve(total);
-  for (const auto& shard : shards_) {
-    const std::vector<Span>& spans = shard->tracer.spans();
-    merged.insert(merged.end(), spans.begin(), spans.end());
+  keys.reserve(total);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const std::vector<Span>& spans = shards_[s]->tracer.spans();
+    for (size_t i = 0; i < spans.size(); ++i) {
+      keys.push_back({spans[i].start_time, spans[i].trace_id, spans[i].span_id,
+                      static_cast<uint64_t>(s) << kShardShift | i});
+    }
   }
-  // Canonical order: virtual start time, then trace/span id as tiebreakers.
-  // Ids are fleet-unique (per-shard id_offset ranges), so the order is total
-  // and independent of shard interleaving or worker count.
-  std::stable_sort(merged.begin(), merged.end(), [](const Span& a, const Span& b) {
-    if (a.start_time != b.start_time) {
-      return a.start_time < b.start_time;
-    }
-    if (a.trace_id != b.trace_id) {
-      return a.trace_id < b.trace_id;
-    }
-    return a.span_id < b.span_id;
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return std::tie(a.start_time, a.trace_id, a.span_id, a.position) <
+           std::tie(b.start_time, b.trace_id, b.span_id, b.position);
   });
+  std::vector<Span> merged;
+  merged.reserve(total);
+  constexpr uint64_t kIndexMask = (uint64_t{1} << kShardShift) - 1;
+  for (const Key& key : keys) {
+    merged.push_back(
+        shards_[key.position >> kShardShift]->tracer.spans()[key.position & kIndexMask]);
+  }
   return merged;
 }
 

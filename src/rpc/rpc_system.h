@@ -249,9 +249,10 @@ class RpcSystem {
   // FNV-1a fold of every shard's (event_digest, events_executed) in shard
   // order — the sharded analogue of Simulator::event_digest().
   uint64_t ShardedEventDigest() const;
-  // All shards' spans, sorted by (start_time, trace_id, span_id). Record
-  // order within one shard is deterministic but interleaving across shards is
-  // not meaningful, hence the canonical sort.
+  // All shards' spans, sorted by (start_time, trace_id, span_id); equal keys
+  // keep shard-then-record order. Record order within one shard is
+  // deterministic but interleaving across shards is not meaningful, hence the
+  // canonical sort.
   std::vector<Span> MergedSpans() const;
   // Sum of a counter across shard registries (0 where absent).
   double MergedCounter(const std::string& name) const;

@@ -60,18 +60,25 @@ double TraceCollector::ObservedKeepFraction() const {
 
 void TraceCollector::Clear() {
   spans_.clear();
+  encoded_records_.clear();
+  encoded_spans_ = 0;
   recorded_ = 0;
   dropped_ = 0;
 }
 
 Status TraceCollector::CheckpointTo(CheckpointWriter& w) const {
+  for (; encoded_spans_ < spans_.size(); ++encoded_spans_) {
+    AppendSpanRecord(encoded_records_, spans_[encoded_spans_]);
+  }
+  std::vector<uint8_t> batch_header;
+  AppendSpanBatchHeader(batch_header, spans_.size());
   w.BeginSection("trace_collector");
   w.WriteU64(sample_threshold_);  // Derived from options_; revalidated on restore.
   w.WriteU64(options_.id_offset);
   w.WriteU64(recorded_);
   w.WriteU64(dropped_);
   w.WriteU64(next_id_);
-  w.WriteBytes(SerializeSpans(spans_));
+  w.WriteBytes(batch_header, encoded_records_);  // == SerializeSpans(spans_).
   w.EndSection();
   return Status::Ok();
 }
@@ -101,6 +108,8 @@ Status TraceCollector::RestoreFrom(CheckpointReader& r) {
     return spans.status();
   }
   spans_ = std::move(spans).value();
+  encoded_records_.clear();
+  encoded_spans_ = 0;
   recorded_ = recorded;
   dropped_ = dropped;
   next_id_ = next_id;

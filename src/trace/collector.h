@@ -63,7 +63,9 @@ class TraceCollector {
   // Checkpoint support: collected spans (as an RSPN codec blob, reusing
   // src/trace/storage.h), the id counter, and keep/drop tallies. Restore
   // re-validates sampling options via the derived threshold and replaces any
-  // existing contents wholesale.
+  // existing contents wholesale. CheckpointTo encodes only the spans recorded
+  // since the previous call; the blob is byte-identical to
+  // SerializeSpans(spans()).
   [[nodiscard]] Status CheckpointTo(CheckpointWriter& w) const;
   [[nodiscard]] Status RestoreFrom(CheckpointReader& r);
 
@@ -77,6 +79,12 @@ class TraceCollector {
   Options options_;
   uint64_t sample_threshold_;  // Trace kept iff Mix64(id ^ seed) < threshold.
   std::vector<Span> spans_;
+  // Checkpoint cache, derived from spans_: the RSPN records of the first
+  // encoded_spans_ spans, extended by CheckpointTo so each span is encoded
+  // once however many checkpoints carry it. spans_ only grows between Clear
+  // and RestoreFrom, which reset the cache.
+  mutable std::vector<uint8_t> encoded_records_;
+  mutable size_t encoded_spans_ = 0;
   uint64_t recorded_ = 0;
   uint64_t dropped_ = 0;
   uint64_t next_id_ = 1;

@@ -58,7 +58,7 @@ using TraceId = uint64_t;
 using SpanId = uint64_t;
 
 // One RPC invocation as recorded by the tracing service.
-// RPCSCOPE_CHECKPOINTED(SerializeSpans, SpanReader::Next)
+// RPCSCOPE_CHECKPOINTED(AppendSpanRecord, SpanReader::Next)
 struct Span {
   TraceId trace_id = 0;
   SpanId span_id = 0;

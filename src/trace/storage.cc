@@ -31,33 +31,41 @@ bool GetDouble(const std::vector<uint8_t>& buf, size_t& pos, double& value) {
 
 }  // namespace
 
+void AppendSpanBatchHeader(std::vector<uint8_t>& out, uint64_t count) {
+  out.insert(out.end(), kMagic, kMagic + 4);
+  PutVarint64(out, kVersion);
+  PutVarint64(out, count);
+}
+
+void AppendSpanRecord(std::vector<uint8_t>& out, const Span& span) {
+  PutVarint64(out, span.trace_id);
+  PutVarint64(out, span.span_id);
+  PutVarint64(out, span.parent_span_id);
+  PutVarint64(out, ZigzagEncode(span.method_id));
+  PutVarint64(out, ZigzagEncode(span.service_id));
+  PutVarint64(out, ZigzagEncode(span.client_cluster));
+  PutVarint64(out, ZigzagEncode(span.server_cluster));
+  PutVarint64(out, ZigzagEncode(span.start_time));
+  for (SimDuration d : span.latency.components) {
+    PutVarint64(out, ZigzagEncode(d));
+  }
+  PutVarint64(out, static_cast<uint64_t>(span.status));
+  PutVarint64(out, ZigzagEncode(span.request_payload_bytes));
+  PutVarint64(out, ZigzagEncode(span.response_payload_bytes));
+  PutVarint64(out, ZigzagEncode(span.request_wire_bytes));
+  PutVarint64(out, ZigzagEncode(span.response_wire_bytes));
+  PutVarint64(out, span.has_cpu_annotation ? 1 : 0);
+  PutDouble(out, span.normalized_cpu_cycles);
+  PutVarint64(out, span.colocated ? 1 : 0);
+  PutDouble(out, span.avoided_tax_cycles);
+}
+
 std::vector<uint8_t> SerializeSpans(const std::vector<Span>& spans) {
   std::vector<uint8_t> out;
   out.reserve(spans.size() * 64 + 16);
-  out.insert(out.end(), kMagic, kMagic + 4);
-  PutVarint64(out, kVersion);
-  PutVarint64(out, spans.size());
+  AppendSpanBatchHeader(out, spans.size());
   for (const Span& s : spans) {
-    PutVarint64(out, s.trace_id);
-    PutVarint64(out, s.span_id);
-    PutVarint64(out, s.parent_span_id);
-    PutVarint64(out, ZigzagEncode(s.method_id));
-    PutVarint64(out, ZigzagEncode(s.service_id));
-    PutVarint64(out, ZigzagEncode(s.client_cluster));
-    PutVarint64(out, ZigzagEncode(s.server_cluster));
-    PutVarint64(out, ZigzagEncode(s.start_time));
-    for (SimDuration d : s.latency.components) {
-      PutVarint64(out, ZigzagEncode(d));
-    }
-    PutVarint64(out, static_cast<uint64_t>(s.status));
-    PutVarint64(out, ZigzagEncode(s.request_payload_bytes));
-    PutVarint64(out, ZigzagEncode(s.response_payload_bytes));
-    PutVarint64(out, ZigzagEncode(s.request_wire_bytes));
-    PutVarint64(out, ZigzagEncode(s.response_wire_bytes));
-    PutVarint64(out, s.has_cpu_annotation ? 1 : 0);
-    PutDouble(out, s.normalized_cpu_cycles);
-    PutVarint64(out, s.colocated ? 1 : 0);
-    PutDouble(out, s.avoided_tax_cycles);
+    AppendSpanRecord(out, s);
   }
   return out;
 }

@@ -23,6 +23,11 @@ namespace rpcscope {
 // Each span record encodes its fields as varints (durations as ns, doubles
 // as IEEE-754 bit patterns).
 std::vector<uint8_t> SerializeSpans(const std::vector<Span>& spans);
+// The two halves of SerializeSpans, for callers that keep encoded records
+// across batches (TraceCollector's checkpoint cache): a batch is the header
+// for `count` records followed by `count` AppendSpanRecord outputs.
+void AppendSpanBatchHeader(std::vector<uint8_t>& out, uint64_t count);
+void AppendSpanRecord(std::vector<uint8_t>& out, const Span& span);
 [[nodiscard]] Result<std::vector<Span>> DeserializeSpans(const std::vector<uint8_t>& bytes);
 
 // Incremental decoder over a serialized span batch: yields one span at a

@@ -1,5 +1,7 @@
-// CRC32C (Castagnoli) checksum, table-driven software implementation.
-// Used to frame-check every RPC message on the simulated wire.
+// CRC32C (Castagnoli) checksum, table-driven software implementation
+// (slice-by-8: eight input bytes per step, no intrinsics). Used to
+// frame-check every RPC message on the simulated wire and every checkpoint
+// section and file.
 #ifndef RPCSCOPE_SRC_WIRE_CHECKSUM_H_
 #define RPCSCOPE_SRC_WIRE_CHECKSUM_H_
 

@@ -51,6 +51,29 @@ TEST_F(AnalysesTest, PopularityReportHasAnchors) {
   EXPECT_EQ(report.id, "fig03");
 }
 
+TEST_F(AnalysesTest, LatencyHeatmapNeedsAHundredSamplesPerMethod) {
+  // The weighted scan gives many methods 100+ samples: ten decile rows.
+  const FigureReport full = AnalyzeLatency(scan_->agg);
+  ASSERT_EQ(full.tables.size(), 2u);
+  EXPECT_EQ(full.tables[1].row_count(), 10u);
+
+  // A 20-per-method stratified scan leaves no method with 100 samples. The
+  // comparison table stays and the heatmap has no rows (this used to index
+  // an empty vector).
+  FleetScan sparse(methods_->size());
+  FleetSampler sampler(services_, methods_, topology_, costs_, {});
+  for (int32_t method = 0; method < 50; ++method) {
+    for (int i = 0; i < 20; ++i) {
+      sparse.Add(sampler.SampleMethod(method));
+    }
+  }
+  ASSERT_TRUE(sparse.agg.Eligible(100).empty());
+  const FigureReport report = AnalyzeLatency(sparse.agg);
+  ASSERT_EQ(report.tables.size(), 2u);
+  EXPECT_EQ(report.tables[1].row_count(), 0u);
+  EXPECT_NE(report.Render().find("P99 latency, 50% of methods"), std::string::npos);
+}
+
 TEST_F(AnalysesTest, CycleTaxInPaperBallpark) {
   // Tax share of all cycles should land near the paper's 7.1%.
   EXPECT_GT(scan_->profile.TaxFraction(), 0.03);

@@ -5,6 +5,7 @@
 // must assemble into the same trace trees every run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -251,6 +252,86 @@ TEST(ShardedFleetTest, CrossShardRpcEndToEnd) {
     EXPECT_EQ(span.server_cluster, topo.ClusterOf(server_machine));
     EXPECT_GT(span.latency.Total(), 0);
   }
+}
+
+// The reference merge: every shard's spans in shard then record order,
+// stable-sorted by (start_time, trace_id, span_id).
+std::vector<Span> StableSortedMerge(RpcSystem& system) {
+  std::vector<Span> all;
+  for (int s = 0; s < system.num_shards(); ++s) {
+    const std::vector<Span>& spans = system.shard(s).tracer.spans();
+    all.insert(all.end(), spans.begin(), spans.end());
+  }
+  std::stable_sort(all.begin(), all.end(), [](const Span& a, const Span& b) {
+    if (a.start_time != b.start_time) {
+      return a.start_time < b.start_time;
+    }
+    if (a.trace_id != b.trace_id) {
+      return a.trace_id < b.trace_id;
+    }
+    return a.span_id < b.span_id;
+  });
+  return all;
+}
+
+// Equal keys are told apart by method (shard) and service (record index).
+void ExpectSameSequence(const std::vector<Span>& actual, const std::vector<Span>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(actual[i].start_time, expected[i].start_time) << "at " << i;
+    ASSERT_EQ(actual[i].trace_id, expected[i].trace_id) << "at " << i;
+    ASSERT_EQ(actual[i].span_id, expected[i].span_id) << "at " << i;
+    ASSERT_EQ(actual[i].method_id, expected[i].method_id) << "at " << i;
+    ASSERT_EQ(actual[i].service_id, expected[i].service_id) << "at " << i;
+  }
+  EXPECT_EQ(HashSpans(actual), HashSpans(expected));
+}
+
+TEST(ShardedFleetTest, MergedSpansEqualsStableSortIncludingTies) {
+  // 4 shards x 300 spans drawn from 40 distinct (start, trace, span) keys:
+  // every key repeats within and across shards, so only the shard-then-record
+  // tie-break reproduces the stable order.
+  RpcSystemOptions options;
+  options.num_shards = 4;
+  RpcSystem system(options);
+  uint64_t x = 0x2545f4914f6cdd1dull;
+  for (int s = 0; s < system.num_shards(); ++s) {
+    for (int i = 0; i < 300; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      Span span;
+      span.start_time = static_cast<SimTime>(x % 10) * Micros(5);
+      span.trace_id = 1 + (x >> 8) % 2;
+      span.span_id = 1 + (x >> 16) % 2;
+      span.method_id = s;
+      span.service_id = i;
+      ASSERT_TRUE(system.shard(s).tracer.Record(span));
+    }
+  }
+  ExpectSameSequence(system.MergedSpans(), StableSortedMerge(system));
+}
+
+TEST(ShardedFleetTest, CollectKeepsThePostWarmupMerge) {
+  // On a real sharded run, MergedSpans equals the oracle and Collect keeps
+  // exactly its spans at or after the warmup, in the same order.
+  const ServiceCatalog catalog = ServiceCatalog::BuildDefault();
+  const MiniFleetOptions options = ShardedOptions(0xf1ee7, 8, 2);
+  MiniFleet fleet(catalog, options);
+  ASSERT_TRUE(fleet.ArmThrough(kMaxSimTime).ok());
+  fleet.RunSegment(kMaxSimTime);
+  std::vector<Span> expected = StableSortedMerge(fleet.system());
+  ExpectSameSequence(fleet.system().MergedSpans(), expected);
+  const size_t all = expected.size();
+  expected.erase(std::remove_if(expected.begin(), expected.end(),
+                                [&options](const Span& span) {
+                                  return span.start_time < options.warmup;
+                                }),
+                 expected.end());
+  ASSERT_LT(expected.size(), all);  // The warmup cut has something to cut.
+  const MiniFleetResult result = fleet.Collect();
+  ExpectSameSequence(result.spans, expected);
+  EXPECT_EQ(result.streamed_aggregate_digest, result.replayed_aggregate_digest);
 }
 
 TEST(ShardedFleetTest, MergedSpansAssembleIntoConsistentTraceTrees) {

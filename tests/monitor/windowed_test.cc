@@ -218,6 +218,48 @@ TEST(StreamWindowTest, CrossShardDeltaMergeMatchesPostRunReplay) {
   EXPECT_EQ(stream_with_barriers(1, Seconds(999)), replayed);
 }
 
+TEST(StreamWindowTest, ReplayFlushesEveryBufferFullAndMatchesOneUncappedFlush) {
+  // ReplayIntoHub flushes its sink whenever max_buffered_spans spans are
+  // buffered. Over many buffer-fulls and windows, in an order that is not
+  // sorted by time, both digests must equal one flush of an uncapped buffer,
+  // and nothing may be dropped.
+  ObservabilityOptions options;
+  options.window = Minutes(1);
+  options.max_buffered_spans = 16;
+  options.reservoir_per_method = 3;
+  std::vector<Span> spans;
+  for (int i = 0; i < 1000; ++i) {
+    spans.push_back(MakeSpan(Seconds((i * 37) % 720), Micros(10 + 7 * (i % 13)),
+                             /*method=*/i % 5, /*id=*/static_cast<uint64_t>(i) + 1));
+  }
+  ObservabilityOptions uncapped = options;
+  uncapped.max_buffered_spans = spans.size() + 1;
+  ObservabilityHub oracle(uncapped);
+  ShardStreamSink sink(uncapped);
+  for (const Span& span : spans) {
+    sink.OnSpan(span);
+  }
+  sink.FlushInto(oracle, kMaxSimTime);
+  oracle.AdvanceWatermark(kMaxSimTime);
+
+  const ObservabilityHub replayed = ReplayIntoHub(spans, options);
+  EXPECT_EQ(replayed.AggregateDigest(), oracle.AggregateDigest());
+  EXPECT_EQ(replayed.ExemplarDigest(), oracle.ExemplarDigest());
+  EXPECT_EQ(replayed.span_buffer_drops(), 0u);
+  EXPECT_EQ(replayed.exemplars_ingested(), 1000);
+  EXPECT_GT(replayed.reservoir_drops(), 0);
+  EXPECT_EQ(replayed.windows().size(), 12u);
+  EXPECT_EQ(replayed.windows_closed(), 12);
+  EXPECT_EQ(replayed.late_window_updates(), 0);
+
+  // A zero cap still replays every exemplar, one flush per span.
+  options.max_buffered_spans = 0;
+  const ObservabilityHub unbuffered = ReplayIntoHub(spans, options);
+  EXPECT_EQ(unbuffered.AggregateDigest(), oracle.AggregateDigest());
+  EXPECT_EQ(unbuffered.ExemplarDigest(), oracle.ExemplarDigest());
+  EXPECT_EQ(unbuffered.span_buffer_drops(), 0u);
+}
+
 TEST(StreamWindowTest, ReservoirIsBoundedDeterministicAndDropCounted) {
   ObservabilityOptions options;
   options.reservoir_per_method = 4;

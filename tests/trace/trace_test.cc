@@ -4,8 +4,10 @@
 #include <cmath>
 #include <vector>
 
+#include "src/checkpoint/checkpoint.h"
 #include "src/trace/collector.h"
 #include "src/trace/span.h"
+#include "src/trace/storage.h"
 #include "src/trace/tree.h"
 
 namespace rpcscope {
@@ -186,6 +188,112 @@ TEST(TraceCollectorTest, ClearResets) {
   collector.Clear();
   EXPECT_TRUE(collector.spans().empty());
   EXPECT_EQ(collector.recorded(), 0u);
+}
+
+// A span whose every field depends on n, so records of different spans differ.
+Span NumberedSpan(uint64_t n) {
+  Span s;
+  s.trace_id = (n * 0x9e3779b97f4a7c15ull) | 1;
+  s.span_id = (n * 0xc2b2ae3d27d4eb4full) | 1;
+  s.parent_span_id = n % 3 == 0 ? 0 : s.trace_id ^ 0x5eed;
+  s.method_id = static_cast<int32_t>(n % 17);
+  s.service_id = static_cast<int32_t>(n % 5);
+  s.client_cluster = static_cast<ClusterId>(n % 7);
+  s.server_cluster = static_cast<ClusterId>(n % 11);
+  s.start_time = static_cast<SimTime>(n) * Micros(37);
+  for (size_t c = 0; c < s.latency.components.size(); ++c) {
+    s.latency.components[c] = static_cast<SimDuration>(n * (c + 1) * 101);
+  }
+  s.status = n % 4 == 0 ? StatusCode::kUnavailable : StatusCode::kOk;
+  s.request_payload_bytes = static_cast<int64_t>(n * 64);
+  s.response_payload_bytes = static_cast<int64_t>(n * 640);
+  s.request_wire_bytes = static_cast<int64_t>(n * 32);
+  s.response_wire_bytes = static_cast<int64_t>(n * 320);
+  s.has_cpu_annotation = n % 2 == 0;
+  s.normalized_cpu_cycles = static_cast<double>(n) * 1.5;
+  s.colocated = n % 5 == 0;
+  s.avoided_tax_cycles = static_cast<double>(n) * 0.25;
+  return s;
+}
+
+// The span blob of the collector's checkpoint section, after checking the
+// section's framing and CRC.
+std::vector<uint8_t> CheckpointedSpanBlob(const TraceCollector& collector) {
+  CheckpointWriter w;
+  EXPECT_TRUE(collector.CheckpointTo(w).ok());
+  Result<CheckpointReader> reader = CheckpointReader::FromBytes(w.buffer());
+  EXPECT_TRUE(reader.ok());
+  if (!reader.ok()) {
+    return {};
+  }
+  CheckpointReader& r = reader.value();
+  EXPECT_TRUE(r.EnterSection("trace_collector").ok());
+  for (int field = 0; field < 5; ++field) {
+    r.ReadU64();  // Threshold, id offset, recorded, dropped, id counter.
+  }
+  std::vector<uint8_t> blob = r.ReadBytes();
+  EXPECT_TRUE(r.LeaveSection().ok());
+  EXPECT_TRUE(r.Complete().ok());
+  return blob;
+}
+
+void RestoreCollector(TraceCollector& collector, const CheckpointWriter& saved) {
+  Result<CheckpointReader> reader = CheckpointReader::FromBytes(saved.buffer());
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(collector.RestoreFrom(reader.value()).ok());
+  ASSERT_TRUE(reader.value().Complete().ok());
+}
+
+TEST(TraceCollectorTest, IncrementalCheckpointEqualsFullSerialization) {
+  // CheckpointTo encodes only the spans recorded since its previous call;
+  // over any interleaving of Record, CheckpointTo, Clear and RestoreFrom the
+  // blob must equal a full re-encode of spans().
+  uint64_t n = 0;
+  auto record = [&n](TraceCollector& collector, int count) {
+    for (int i = 0; i < count; ++i) {
+      ASSERT_TRUE(collector.Record(NumberedSpan(++n)));
+    }
+  };
+  auto expect_full = [](const TraceCollector& collector) {
+    EXPECT_EQ(CheckpointedSpanBlob(collector), SerializeSpans(collector.spans()));
+  };
+
+  TraceCollector a;
+  expect_full(a);
+  record(a, 5);
+  expect_full(a);
+  expect_full(a);  // Nothing new since the last checkpoint.
+  record(a, 7);
+  expect_full(a);
+  CheckpointWriter saved;  // 12 spans.
+  ASSERT_TRUE(a.CheckpointTo(saved).ok());
+  a.Clear();
+  expect_full(a);
+  record(a, 3);
+  expect_full(a);
+
+  // A restored collector's first checkpoint, then more records.
+  TraceCollector b;
+  RestoreCollector(b, saved);
+  ASSERT_EQ(b.spans().size(), 12u);
+  expect_full(b);
+  record(b, 4);
+  expect_full(b);
+
+  // Restoring over a warm cache replaces the cache too, whether the restored
+  // set is smaller or larger than what the cache held.
+  TraceCollector c;
+  record(c, 20);
+  expect_full(c);
+  RestoreCollector(c, saved);
+  expect_full(c);
+  record(c, 2);
+  expect_full(c);
+  TraceCollector d;
+  record(d, 2);
+  expect_full(d);
+  RestoreCollector(d, saved);
+  expect_full(d);
 }
 
 // Builds a small forest:
