@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%zu sampled RPCs across %d methods\n\n", rpcs.size(), methods.size());
 
-  const ProfileCatalog profiles = BuiltinProfileCatalog();
+  const ProfileCatalog& profiles = BuiltinProfileCatalog();
   const OffloadWhatIf result = AnalyzeOffloadWhatIf(rpcs, costs, profiles);
   std::fputs(result.report.Render().c_str(), stdout);
 

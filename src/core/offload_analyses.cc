@@ -16,20 +16,6 @@
 
 namespace rpcscope {
 
-namespace {
-
-// Host-side tax cycles the legacy pipeline charges for one direction of one
-// message. Identical to what the baseline profile produces (a unit test pins
-// that equivalence), so baseline rows double as the pre-offload reference.
-double LegacySideCycles(const CycleCostModel& costs, bool send, int64_t payload_bytes,
-                        int64_t wire_bytes) {
-  const CycleBreakdown b = send ? costs.SendSideCost(payload_bytes, wire_bytes)
-                                : costs.RecvSideCost(payload_bytes, wire_bytes);
-  return b.TaxTotal();
-}
-
-}  // namespace
-
 OffloadWhatIf AnalyzeOffloadWhatIf(const std::vector<SampledRpc>& rpcs,
                                    const CycleCostModel& costs,
                                    const ProfileCatalog& profiles) {
@@ -37,58 +23,59 @@ OffloadWhatIf AnalyzeOffloadWhatIf(const std::vector<SampledRpc>& rpcs,
   out.report.id = "offload";
   out.report.title = "Offload what-if: fleet latency and cycle tax per stage-cost profile";
 
-  for (int32_t id = 0; id < static_cast<int32_t>(profiles.size()); ++id) {
-    const TaxProfile& profile = profiles.at(static_cast<size_t>(id));
+  // Baseline host cycles per RPC and direction (request, response): the
+  // pipeline the sampled proc+stack components were priced on. Id 0 is
+  // `baseline`, so its pass fills these and every later profile reads them.
+  std::vector<std::array<double, 2>> base_host(rpcs.size());
+  for (size_t id = 0; id < profiles.size(); ++id) {
+    const TaxProfile& profile = profiles.at(id);
     OffloadProfileOutcome outcome;
     outcome.name = profile.name;
 
     std::vector<double> totals_ms;
     totals_ms.reserve(rpcs.size());
-    for (const SampledRpc& rpc : rpcs) {
-      const Span& s = rpc.span;
+    for (size_t r = 0; r < rpcs.size(); ++r) {
+      const Span& s = rpcs[r].span;
       if (s.status != StatusCode::kOk) {
         continue;
       }
       // The four stage-pipeline traversals of a unary call: client-send and
       // server-recv of the request, server-send and client-recv of the
       // response. Each is repriced under the profile.
-      struct Side {
-        int64_t payload;
-        int64_t wire;
-        bool send;
+      const StageCostInput sides[4] = {
+          {.payload_bytes = s.request_payload_bytes, .wire_bytes = s.request_wire_bytes,
+           .send = true, .colocated = s.colocated},
+          {.payload_bytes = s.request_payload_bytes, .wire_bytes = s.request_wire_bytes,
+           .send = false, .colocated = s.colocated},
+          {.payload_bytes = s.response_payload_bytes, .wire_bytes = s.response_wire_bytes,
+           .send = true, .colocated = s.colocated},
+          {.payload_bytes = s.response_payload_bytes, .wire_bytes = s.response_wire_bytes,
+           .send = false, .colocated = s.colocated},
       };
-      const Side req_sides[2] = {{s.request_payload_bytes, s.request_wire_bytes, true},
-                                 {s.request_payload_bytes, s.request_wire_bytes, false}};
-      const Side rsp_sides[2] = {{s.response_payload_bytes, s.response_wire_bytes, true},
-                                 {s.response_payload_bytes, s.response_wire_bytes, false}};
       double dir_host[2] = {0, 0};    // Profile host cycles: request, response.
-      double dir_base[2] = {0, 0};    // Legacy host cycles: request, response.
       double dir_device[2] = {0, 0};  // Device cycles: request, response.
-      for (int dir = 0; dir < 2; ++dir) {
-        for (const Side& side : (dir == 0 ? req_sides : rsp_sides)) {
-          const ProfileCost pc = profile.MessageCost(
-              costs, StageCostInput{.payload_bytes = side.payload,
-                                    .wire_bytes = side.wire,
-                                    .send = side.send,
-                                    .colocated = s.colocated});
-          dir_host[dir] += pc.host.TaxTotal();
-          dir_device[dir] += pc.device_cycles;
-          dir_base[dir] += LegacySideCycles(costs, side.send, side.payload, side.wire);
-          for (int i = 0; i < kNumTaxCategories; ++i) {
-            const auto stage = static_cast<size_t>(i);
-            outcome.category_cycles[stage] += pc.host.cycles[stage];
-          }
-          outcome.host_tax_cycles += pc.host.TaxTotal();
-          outcome.device_cycles += pc.device_cycles;
+      for (int side = 0; side < 4; ++side) {
+        const ProfileCost pc = profile.MessageCost(costs, sides[side]);
+        dir_host[side / 2] += pc.host.TaxTotal();
+        dir_device[side / 2] += pc.device_cycles;
+        for (int i = 0; i < kNumTaxCategories; ++i) {
+          const auto stage = static_cast<size_t>(i);
+          outcome.category_cycles[stage] += pc.host.cycles[stage];
         }
+        outcome.host_tax_cycles += pc.host.TaxTotal();
+        outcome.device_cycles += pc.device_cycles;
       }
+      if (id == 0) {
+        base_host[r] = {dir_host[0], dir_host[1]};
+      }
+      const std::array<double, 2>& base = base_host[r];
       // Span transform (Fig. 15 method): queueing and wire stay as sampled;
       // the proc+stack components shrink (or grow) with the host-cycle ratio
       // of their direction, plus device transfer+execution when offloaded.
       const double req_ps = static_cast<double>(s.latency[RpcComponent::kRequestProcStack]);
       const double rsp_ps = static_cast<double>(s.latency[RpcComponent::kResponseProcStack]);
-      const double req_ratio = dir_base[0] > 0 ? dir_host[0] / dir_base[0] : 1.0;
-      const double rsp_ratio = dir_base[1] > 0 ? dir_host[1] / dir_base[1] : 1.0;
+      const double req_ratio = base[0] > 0 ? dir_host[0] / base[0] : 1.0;
+      const double rsp_ratio = base[1] > 0 ? dir_host[1] / base[1] : 1.0;
       const double new_req_ps =
           req_ps * req_ratio + static_cast<double>(profile.DeviceTime(dir_device[0]));
       const double new_rsp_ps =
@@ -103,9 +90,6 @@ OffloadWhatIf AnalyzeOffloadWhatIf(const std::vector<SampledRpc>& rpcs,
     out.profiles.push_back(std::move(outcome));
   }
 
-  if (out.profiles.empty()) {
-    return out;
-  }
   const OffloadProfileOutcome& base = out.profiles.front();
 
   TextTable latency({"profile", "p50 RCT", "p99 RCT", "d p99", "host tax Gcyc", "d tax",

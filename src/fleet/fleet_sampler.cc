@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/rpc/stage_model.h"
+
 namespace rpcscope {
 
 namespace {
@@ -192,15 +194,21 @@ SampledRpc FleetSampler::SampleMethod(int32_t method_id) {
   span.latency[RpcComponent::kServerSendQueue] = DurationFromMicros(queue_us * m.queue_split[2]);
   span.latency[RpcComponent::kClientRecvQueue] = DurationFromMicros(queue_us * m.queue_split[3]);
 
-  // --- Proc + network stack: cycle-model time with per-call jitter.
-  CycleBreakdown req_send =
-      costs_->SendSideCost(static_cast<int64_t>(req_bytes), req_wire, m.byte_cost_scale);
-  CycleBreakdown req_recv =
-      costs_->RecvSideCost(static_cast<int64_t>(req_bytes), req_wire, m.byte_cost_scale);
-  CycleBreakdown resp_send =
-      costs_->SendSideCost(static_cast<int64_t>(resp_bytes), resp_wire, m.byte_cost_scale);
-  CycleBreakdown resp_recv =
-      costs_->RecvSideCost(static_cast<int64_t>(resp_bytes), resp_wire, m.byte_cost_scale);
+  // --- Proc + network stack: cycle-model time with per-call jitter, priced
+  // on the host pipeline.
+  const TaxProfile& host = BaselineProfile();
+  auto side = [&](int64_t payload_bytes, int64_t wire_bytes, bool send) {
+    return host
+        .MessageCost(*costs_, {.payload_bytes = payload_bytes,
+                               .wire_bytes = wire_bytes,
+                               .byte_cost_scale = m.byte_cost_scale,
+                               .send = send})
+        .host;
+  };
+  CycleBreakdown req_send = side(span.request_payload_bytes, req_wire, true);
+  CycleBreakdown req_recv = side(span.request_payload_bytes, req_wire, false);
+  CycleBreakdown resp_send = side(span.response_payload_bytes, resp_wire, true);
+  CycleBreakdown resp_recv = side(span.response_payload_bytes, resp_wire, false);
   if (!m.compression_enabled) {
     // Bulk/block services ship pre-compressed or raw data and disable the
     // compressor on their channels (this is what keeps Network Disk under 2%

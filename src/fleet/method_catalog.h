@@ -69,7 +69,7 @@ struct MethodModel {
   double redundancy = 0.5;          // Payload compressibility.
   bool compression_enabled = true;  // Bulk/block services skip compression.
   // Per-byte stack cost discount for blob-style channels (see
-  // CycleCostModel::SendSideCost).
+  // CycleCostModel::Stage).
   double byte_cost_scale = 1.0;
 
   // Client->server distance mix: probabilities over the five non-trivial

@@ -58,8 +58,8 @@ struct MethodPolicy {
   int32_t colocated_bypass = -1;      // 0 / 1.
   // Hardware-offload tax profile: an id into the system's ProfileCatalog
   // (docs/TAX.md#assigning-profiles-through-the-policy-plane). Resolved per
-  // call on both endpoints; the inherit sentinel keeps the legacy host
-  // pipeline, which is what preserves pre-profile digests bit-for-bit.
+  // call on both endpoints; the inherit sentinel and unknown ids price under
+  // `baseline`, the calibrated host pipeline.
   int32_t tax_profile = -1;           // ProfileCatalog id.
 
   // Server-level knob (resolved per request).

@@ -47,7 +47,6 @@ void Channel::ApplyCurrentPolicy() {
   effective_hedge_delay_ = p.hedge_delay >= 0 ? p.hedge_delay : options_.hedge_delay;
   effective_outlier_enabled_ =
       p.outlier_enabled >= 0 ? p.outlier_enabled != 0 : options_.outlier.enabled;
-  effective_tax_profile_ = p.tax_profile;
   if (subset != effective_subset_size_ || backends_.empty()) {
     effective_subset_size_ = subset;
     RebuildActiveSet();

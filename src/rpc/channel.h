@@ -131,10 +131,6 @@ class Channel {
   }
   // Snapshot version the channel's effective knobs were last resolved from.
   uint64_t policy_version_seen() const { return policy_version_seen_; }
-  // Service-wide tax profile in force (ProfileCatalog id; -1 = legacy
-  // pipeline). Introspection only — calls resolve their own per-method
-  // profile at issue time (docs/TAX.md#assigning-profiles-through-the-policy-plane).
-  int32_t tax_profile() const { return effective_tax_profile_; }
 
   // Checkpoint support (docs/ROBUSTNESS.md#checkpointrestore). Valid only at
   // a quiescent barrier: every outstanding count must be zero. Carries the
@@ -215,7 +211,6 @@ class Channel {
   int effective_max_retries_ = 0;          // NOLINT(detan-checkpoint-field) derived
   SimDuration effective_hedge_delay_ = 0;  // NOLINT(detan-checkpoint-field) derived
   bool effective_outlier_enabled_ = false;  // NOLINT(detan-checkpoint-field) derived
-  int32_t effective_tax_profile_ = -1;      // NOLINT(detan-checkpoint-field) derived
 };
 
 }  // namespace rpcscope

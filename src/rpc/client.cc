@@ -12,14 +12,17 @@ namespace rpcscope {
 
 namespace {
 
-// Stack cycles one message direction would have cost through the full
-// serialize/compress/encrypt/checksum/netstack pipeline, minus the RPC
-// library bookkeeping the colocated fast path still charges on both sides —
-// the per-direction "avoided tax" recorded on bypassed spans.
+// Stack cycles one message direction would have cost through the host
+// pipeline's send and receive sides, minus the RPC library bookkeeping the
+// colocated fast path still charges on both — the per-direction "avoided
+// tax" recorded on bypassed spans.
 double AvoidedDirectionTax(const CycleCostModel& costs, int64_t payload_bytes,
                            int64_t wire_bytes) {
-  const double full = costs.SendSideCost(payload_bytes, wire_bytes).TaxTotal() +
-                      costs.RecvSideCost(payload_bytes, wire_bytes).TaxTotal();
+  const TaxProfile& host = BaselineProfile();
+  StageCostInput in{.payload_bytes = payload_bytes, .wire_bytes = wire_bytes, .send = true};
+  const double send = host.MessageCost(costs, in).host.TaxTotal();
+  in.send = false;
+  const double full = send + host.MessageCost(costs, in).host.TaxTotal();
   return full - 2 * costs.rpclib_fixed_per_side;
 }
 
@@ -46,9 +49,10 @@ struct Client::CallState {
   // Policy-resolved at issue time: attempts to this client's own machine take
   // the colocated fast path (docs/POLICY.md#colocated-bypass).
   bool colocated_bypass = false;
-  // Offload profile resolved at issue time (docs/TAX.md); -1 = legacy host
-  // pipeline. Every attempt of the call prices its messages with the same
-  // profile even if a policy swap lands mid-call.
+  // Offload profile resolved at issue time (docs/TAX.md); -1 when the policy
+  // names none, which prices under `baseline`. Every attempt of the call
+  // prices its messages with the same profile even if a policy swap lands
+  // mid-call.
   int32_t tax_profile = -1;
 };
 
@@ -70,7 +74,7 @@ struct Client::Attempt {
   bool colocated = false;
   double avoided_tax_cycles = 0;
   // Cycles this attempt ran on offload devices (client tx/rx + echoed server
-  // share); 0 on the legacy and baseline paths.
+  // share); 0 unless the call's profile has a device rule.
   double device_cycles = 0;
 };
 
@@ -124,8 +128,8 @@ Counter* Client::ProfileCounter(std::vector<Counter*>& cache, int32_t profile_id
     cache.resize(system_->tax_profiles().size(), nullptr);
   }
   if (cache[idx] == nullptr) {
-    const TaxProfile* profile = system_->TaxProfileById(profile_id);
-    cache[idx] = &shard_->metrics.GetCounter("tax.profile." + profile->name + suffix);
+    const TaxProfile& profile = system_->tax_profiles().at(idx);
+    cache[idx] = &shard_->metrics.GetCounter("tax.profile." + profile.name + suffix);
   }
   return cache[idx];
 }
@@ -174,8 +178,9 @@ void Client::Call(MachineId target, MethodId method, Payload request, const Call
       policy.colocated_bypass >= 0 ? policy.colocated_bypass != 0 : colocated_bypass_base_;
   // Offload profile (docs/TAX.md): resolved once at issue time so every
   // attempt of this call prices consistently; ids the catalog doesn't know
-  // fall back to the legacy host pipeline.
-  st->tax_profile = system_->TaxProfileById(policy.tax_profile) != nullptr ? policy.tax_profile : -1;
+  // price under `baseline` like unset ones.
+  st->tax_profile =
+      system_->tax_profiles().Get(policy.tax_profile) != nullptr ? policy.tax_profile : -1;
 
   // Deadline propagation: a child call never outlives its parent's budget.
   if (st->options.parent_deadline_time > 0) {
@@ -271,28 +276,19 @@ void Client::StartAttempt(std::shared_ptr<CallState> st, MachineId target) {
   }
 
   const CycleCostModel& costs = system_->costs();
-  const TaxProfile* profile = system_->TaxProfileById(st->tax_profile);
+  const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(st->tax_profile);
   WireFrame frame =
       EncodeFrame(st->request, system_->options().encryption_key, att->span_id, scratch_);
-  CycleBreakdown tx_cost;
-  SimDuration tx_dev_time = 0;
-  if (profile == nullptr) {
-    tx_cost = costs.SendSideCost(frame.payload_bytes, frame.wire_bytes);
-  } else {
-    // Profile-priced send pipeline: host cycles convert to tx service time as
-    // usual; offloaded cycles become a device-queue hop before the wire.
-    const ProfileCost pc = profile->MessageCost(
-        costs, StageCostInput{.payload_bytes = frame.payload_bytes,
-                              .wire_bytes = frame.wire_bytes,
-                              .send = true});
-    tx_cost = pc.host;
-    att->device_cycles += pc.device_cycles;
-    tx_dev_time = profile->DeviceTime(pc.device_cycles);
-  }
-  att->cycles.Accumulate(tx_cost);
+  // Host cycles convert to tx service time; offloaded cycles become a
+  // device-queue hop before the wire.
+  const ProfileCost tx = profile.MessageCost(
+      costs, {.payload_bytes = frame.payload_bytes, .wire_bytes = frame.wire_bytes, .send = true});
+  att->device_cycles += tx.device_cycles;
+  const SimDuration tx_dev_time = profile.DeviceTime(tx.device_cycles);
+  att->cycles.Accumulate(tx.host);
   att->request_wire_bytes = frame.wire_bytes;
   att->request_payload_bytes = frame.payload_bytes;
-  const SimDuration tx_time = costs.CyclesToDuration(tx_cost.TaxTotal(), machine_speed_);
+  const SimDuration tx_time = costs.CyclesToDuration(tx.host.TaxTotal(), machine_speed_);
 
   tx_pool_.Submit(tx_time, [this, st, att, tx_dev_time, frame = std::move(frame)](
                                SimDuration tx_wait, SimDuration tx_service) mutable {
@@ -457,7 +453,7 @@ void Client::OnReply(std::shared_ptr<CallState> st, std::shared_ptr<Attempt> att
       reply.response_frame.payload_bytes * std::max(reply.chunk_count, 1);
 
   const CycleCostModel& costs = system_->costs();
-  const TaxProfile* profile = system_->TaxProfileById(st->tax_profile);
+  const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(st->tax_profile);
   CycleBreakdown rx_cost;
   double rx_device_cycles = 0;
   if (reply.colocated) {
@@ -466,16 +462,13 @@ void Client::OnReply(std::shared_ptr<CallState> st, std::shared_ptr<Attempt> att
     rx_cost = costs.LocalDeliveryCost();
     att->avoided_tax_cycles += AvoidedDirectionTax(costs, reply.response_frame.payload_bytes,
                                                    EstimateWireBytes(reply.local_response));
-  } else if (profile != nullptr) {
-    const ProfileCost pc = profile->MessageCost(
-        costs, StageCostInput{.payload_bytes = reply.response_frame.payload_bytes,
-                              .wire_bytes = reply.response_frame.wire_bytes,
-                              .send = false});
-    rx_cost = pc.host;
-    rx_device_cycles = pc.device_cycles;
   } else {
-    rx_cost = costs.RecvSideCost(reply.response_frame.payload_bytes,
-                                 reply.response_frame.wire_bytes);
+    const ProfileCost rx = profile.MessageCost(
+        costs, {.payload_bytes = reply.response_frame.payload_bytes,
+                .wire_bytes = reply.response_frame.wire_bytes,
+                .send = false});
+    rx_cost = rx.host;
+    rx_device_cycles = rx.device_cycles;
   }
   if (streamed) {
     // Per-chunk receive costs: the client decodes every chunk.
@@ -487,8 +480,7 @@ void Client::OnReply(std::shared_ptr<CallState> st, std::shared_ptr<Attempt> att
     rx_device_cycles *= reply.chunk_count;
   }
   att->device_cycles += rx_device_cycles + reply.device_cycles;
-  const SimDuration rx_dev_time =
-      profile != nullptr ? profile->DeviceTime(rx_device_cycles) : 0;
+  const SimDuration rx_dev_time = profile.DeviceTime(rx_device_cycles);
   const SimDuration rx_time =
       costs.CyclesToDuration(rx_cost.TaxTotal(), machine_speed_) + rx_processing_overhead_;
 
@@ -572,8 +564,8 @@ void Client::RecordAttemptSpan(const CallState& st, const Attempt& att, StatusCo
   }
   if (st.tax_profile >= 0) {
     // Per-profile streamed tax counters (docs/TAX.md#per-profile-counters):
-    // only profile-resolved calls touch these, so legacy registries are
-    // byte-identical to pre-profile runs.
+    // only calls whose policy names a profile touch these, so runs that name
+    // none keep registries without them.
     ProfileCounter(profile_tax_counters_, st.tax_profile, ".tax_cycles")
         ->Increment(att.cycles.TaxTotal());
     if (att.device_cycles > 0) {

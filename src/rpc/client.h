@@ -36,9 +36,8 @@ struct ClientOptions {
   int rx_workers = 2;
   // Engines on this machine's offload accelerator (docs/TAX.md). The device
   // queue exists only for calls whose resolved tax profile offloads stages
-  // (DeviceStageModel); legacy and baseline-profile calls never touch it, so
-  // the pool is inert — and digest-neutral — unless a profile routes work
-  // through it.
+  // (a device stage rule); other calls never touch it, so the pool is inert
+  // — and digest-neutral — unless a profile routes work through it.
   int accel_workers = 2;
   // Bound on the tx/rx pipeline queues. When set and exceeded the call fails
   // promptly with RESOURCE_EXHAUSTED (span recorded) before any encode
@@ -134,8 +133,8 @@ class Client {
   void RecordAttemptSpan(const CallState& st, const Attempt& att, StatusCode code);
   void CountCompletion(StatusCode code);
   // Lazily-cached per-profile tax counter ("tax.profile.<name><suffix>").
-  // Lazy on purpose: runs that never resolve a profile create no counters,
-  // keeping legacy registries (and their checkpoints) unchanged.
+  // Lazy on purpose: runs whose policy names no profile create no counters,
+  // so their registries (and checkpoints) carry none.
   Counter* ProfileCounter(std::vector<Counter*>& cache, int32_t profile_id, const char* suffix);
 
   RpcSystem* system_;  // NOLINT(detan-checkpoint-field) structural

@@ -1,7 +1,5 @@
 #include "src/rpc/cost_model.h"
 
-#include <cmath>
-
 namespace rpcscope {
 
 std::string_view CycleCategoryName(CycleCategory c) {
@@ -48,100 +46,6 @@ SimDuration CycleCostModel::CyclesToDuration(double cycles, double speed) const 
   }
   const double seconds = cycles / (cycles_per_second * speed);
   return DurationFromSeconds(seconds);
-}
-
-double CycleCostModel::StageCycles(CycleCategory stage, bool send, int64_t payload_bytes,
-                                   int64_t wire_bytes, double byte_cost_scale) const {
-  // These expressions (association included) are the determinism contract:
-  // SendSideCost/RecvSideCost charge exactly these doubles, and the baseline
-  // stage model (stage_model.h) delegates here, so profile-resolved baseline
-  // runs stay bit-identical to legacy runs. See docs/TAX.md#determinism.
-  const double pb = static_cast<double>(payload_bytes) * byte_cost_scale;
-  const double wb = static_cast<double>(wire_bytes) * byte_cost_scale;
-  switch (stage) {
-    case CycleCategory::kSerialization:
-      return send ? serialize_fixed + serialize_per_byte * pb
-                  : parse_fixed + parse_per_byte * pb;
-    case CycleCategory::kCompression:
-      return send ? compress_fixed + compress_per_byte * pb
-                  : decompress_fixed + decompress_per_byte * pb;
-    case CycleCategory::kEncryption:
-      return encrypt_fixed + encrypt_per_byte * wb;
-    case CycleCategory::kChecksum:
-      return checksum_per_byte * wb;
-    case CycleCategory::kNetworking: {
-      const double packets = std::ceil(wb / 1500.0);
-      return netstack_fixed + netstack_per_packet * packets + netstack_per_byte * wb;
-    }
-    case CycleCategory::kRpcLibrary:
-      return rpclib_fixed_per_side;
-    case CycleCategory::kApplication:
-      return 0;  // Application cycles are charged by the handler, not the stack.
-  }
-  return 0;
-}
-
-double CycleCostModel::StageFixedCycles(CycleCategory stage, bool send) const {
-  switch (stage) {
-    case CycleCategory::kSerialization:
-      return send ? serialize_fixed : parse_fixed;
-    case CycleCategory::kCompression:
-      return send ? compress_fixed : decompress_fixed;
-    case CycleCategory::kEncryption:
-      return encrypt_fixed;
-    case CycleCategory::kChecksum:
-      return 0;
-    case CycleCategory::kNetworking:
-      return netstack_fixed;
-    case CycleCategory::kRpcLibrary:
-      return rpclib_fixed_per_side;
-    case CycleCategory::kApplication:
-      return 0;
-  }
-  return 0;
-}
-
-double CycleCostModel::StageByteCycles(CycleCategory stage, bool send, int64_t payload_bytes,
-                                       int64_t wire_bytes, double byte_cost_scale) const {
-  const double pb = static_cast<double>(payload_bytes) * byte_cost_scale;
-  const double wb = static_cast<double>(wire_bytes) * byte_cost_scale;
-  switch (stage) {
-    case CycleCategory::kSerialization:
-      return (send ? serialize_per_byte : parse_per_byte) * pb;
-    case CycleCategory::kCompression:
-      return (send ? compress_per_byte : decompress_per_byte) * pb;
-    case CycleCategory::kEncryption:
-      return encrypt_per_byte * wb;
-    case CycleCategory::kChecksum:
-      return checksum_per_byte * wb;
-    case CycleCategory::kNetworking:
-      return netstack_per_packet * std::ceil(wb / 1500.0) + netstack_per_byte * wb;
-    case CycleCategory::kRpcLibrary:
-      return 0;
-    case CycleCategory::kApplication:
-      return 0;
-  }
-  return 0;
-}
-
-CycleBreakdown CycleCostModel::SendSideCost(int64_t payload_bytes, int64_t wire_bytes,
-                                            double byte_cost_scale) const {
-  CycleBreakdown b;
-  for (int i = 0; i < kNumTaxCategories; ++i) {
-    const CycleCategory stage = static_cast<CycleCategory>(i);
-    b[stage] = StageCycles(stage, /*send=*/true, payload_bytes, wire_bytes, byte_cost_scale);
-  }
-  return b;
-}
-
-CycleBreakdown CycleCostModel::RecvSideCost(int64_t payload_bytes, int64_t wire_bytes,
-                                            double byte_cost_scale) const {
-  CycleBreakdown b;
-  for (int i = 0; i < kNumTaxCategories; ++i) {
-    const CycleCategory stage = static_cast<CycleCategory>(i);
-    b[stage] = StageCycles(stage, /*send=*/false, payload_bytes, wire_bytes, byte_cost_scale);
-  }
-  return b;
 }
 
 CycleBreakdown CycleCostModel::LocalDeliveryCost() const {

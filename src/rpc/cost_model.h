@@ -1,12 +1,14 @@
 // CPU cycle cost model for RPC stack operations.
 //
-// Every stack stage charges cycles as fixed + per-byte terms; cycles convert
-// to virtual time via the machine clock. Coefficient calibration, figure
-// provenance, and the pluggable-stage contract live in docs/TAX.md.
+// Every stack stage charges cycles as fixed + per-packet + per-byte terms;
+// cycles convert to virtual time via the machine clock. Coefficient
+// calibration, figure provenance, and the stage rules that reprice these
+// terms live in docs/TAX.md.
 #ifndef RPCSCOPE_SRC_RPC_COST_MODEL_H_
 #define RPCSCOPE_SRC_RPC_COST_MODEL_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string_view>
 
@@ -55,6 +57,17 @@ struct CycleBreakdown {
   void Accumulate(const CycleBreakdown& other);
 };
 
+// One stage's cycles for one message direction, split by what they scale
+// with. Total() is what the host pipeline charges; its association is the
+// determinism contract (docs/TAX.md#determinism).
+struct StageTerms {
+  double fixed = 0;       // Per message.
+  double per_packet = 0;  // Per 1500-byte packet (networking only).
+  double per_byte = 0;
+
+  double Total() const { return (fixed + per_packet) + per_byte; }
+};
+
 struct CycleCostModel {
   double cycles_per_second = 3.0e9;  // Machine clock for cycle -> time.
 
@@ -95,41 +108,53 @@ struct CycleCostModel {
   // heterogeneity (CPU generations).
   SimDuration CyclesToDuration(double cycles, double speed = 1.0) const;
 
-  // Stage costs used by the stack. `payload_bytes` is the uncompressed
-  // serialized size; `wire_bytes` the post-compression on-wire size.
-  // `byte_cost_scale` discounts the per-byte and per-packet terms for
-  // blob-style channels (storage byte pipes use flat single-field payloads,
-  // zero-copy paths, and NIC checksum offload — this is what lets Network
-  // Disk carry the most bytes in the fleet at <2% of fleet cycles, Fig. 8).
-  CycleBreakdown SendSideCost(int64_t payload_bytes, int64_t wire_bytes,
-                              double byte_cost_scale = 1.0) const;
-  CycleBreakdown RecvSideCost(int64_t payload_bytes, int64_t wire_bytes,
-                              double byte_cost_scale = 1.0) const;
-
-  // Per-stage view of the same pipeline: exactly the term SendSideCost (send
-  // == true) or RecvSideCost (send == false) charges for `stage`, evaluated
-  // with the same expressions so the doubles are bit-identical. This is the
-  // hook pluggable stage models (src/rpc/stage_model.h) delegate to; the
-  // aggregate costs above are implemented as a loop over StageCycles.
-  // `stage` must be a tax category (not kApplication).
-  double StageCycles(CycleCategory stage, bool send, int64_t payload_bytes,
-                     int64_t wire_bytes, double byte_cost_scale = 1.0) const;
-
-  // Splits StageCycles into its per-message part and its size-dependent part
-  // (per-byte plus, for networking, per-packet). No bit-identity contract —
-  // only scaling-style offload profiles use the split; for every stage
-  // StageFixedCycles + StageByteCycles == StageCycles up to FP rounding.
-  double StageFixedCycles(CycleCategory stage, bool send) const;
-  double StageByteCycles(CycleCategory stage, bool send, int64_t payload_bytes,
-                         int64_t wire_bytes, double byte_cost_scale = 1.0) const;
+  // The cycles `stage` (a tax category, not kApplication) costs for one
+  // direction of one message; the only place the coefficients above are
+  // applied. Tax profiles (src/rpc/stage_model.h) price every message through
+  // it. `payload_bytes` is the uncompressed serialized size; `wire_bytes` the
+  // post-compression on-wire size. `byte_cost_scale` discounts the per-byte
+  // and per-packet terms for blob-style channels (storage byte pipes use flat
+  // single-field payloads, zero-copy paths, and NIC checksum offload — this
+  // is what lets Network Disk carry the most bytes in the fleet at <2% of
+  // fleet cycles, Fig. 8). Defined inline below: every message side calls it
+  // once per stage.
+  StageTerms Stage(CycleCategory stage, bool send, int64_t payload_bytes, int64_t wire_bytes,
+                   double byte_cost_scale = 1.0) const;
 
   // Cost of handing a payload to a colocated peer by shared buffer
   // (docs/POLICY.md#colocated-bypass): only the RPC library bookkeeping is
   // still charged per side — no serialize/compress/encrypt/checksum/netstack
-  // work happens. The difference SendSideCost + RecvSideCost − 2 × this is
+  // work happens. The host pipeline's send + receive tax minus 2 × this is
   // the per-direction "avoided tax" the tracer records on bypassed spans.
   CycleBreakdown LocalDeliveryCost() const;
 };
+
+inline StageTerms CycleCostModel::Stage(CycleCategory stage, bool send, int64_t payload_bytes,
+                                        int64_t wire_bytes, double byte_cost_scale) const {
+  const double pb = static_cast<double>(payload_bytes) * byte_cost_scale;
+  const double wb = static_cast<double>(wire_bytes) * byte_cost_scale;
+  switch (stage) {
+    case CycleCategory::kSerialization:
+      return {.fixed = send ? serialize_fixed : parse_fixed,
+              .per_byte = (send ? serialize_per_byte : parse_per_byte) * pb};
+    case CycleCategory::kCompression:
+      return {.fixed = send ? compress_fixed : decompress_fixed,
+              .per_byte = (send ? compress_per_byte : decompress_per_byte) * pb};
+    case CycleCategory::kEncryption:
+      return {.fixed = encrypt_fixed, .per_byte = encrypt_per_byte * wb};
+    case CycleCategory::kChecksum:
+      return {.per_byte = checksum_per_byte * wb};
+    case CycleCategory::kNetworking:
+      return {.fixed = netstack_fixed,
+              .per_packet = netstack_per_packet * std::ceil(wb / 1500.0),
+              .per_byte = netstack_per_byte * wb};
+    case CycleCategory::kRpcLibrary:
+      return {.fixed = rpclib_fixed_per_side};
+    case CycleCategory::kApplication:
+      break;  // Application cycles are charged by the handler, not the stack.
+  }
+  return {};
+}
 
 }  // namespace rpcscope
 

@@ -33,9 +33,6 @@ RpcSystem::RpcSystem(const RpcSystemOptions& options)
   const int num_shards = std::clamp(options.num_shards, 1, topology_.num_clusters());
   options_.num_shards = num_shards;
   RPCSCOPE_CHECK(options_.policy.Validate().ok());
-  if (options_.tax_profiles.empty()) {
-    options_.tax_profiles = BuiltinProfileCatalog();
-  }
 
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {

@@ -69,7 +69,7 @@ struct RpcSystemOptions {
 
   // Observer invoked for every span the stack produces (after sampling is
   // applied by the collector, independently of whether it was kept). Use it
-  // to feed live monitoring (e.g. WindowedDistribution per service) without
+  // to feed live monitoring (e.g. a per-service latency histogram) without
   // retaining spans. Sharded runs invoke it concurrently from worker
   // threads: it must be thread-safe (or null) when num_shards > 1.
   std::function<void(const Span&)> span_observer;
@@ -81,13 +81,6 @@ struct RpcSystemOptions {
   // default (empty) timeline reproduces pre-policy behavior exactly: every
   // component falls back to its own constructor-time options.
   PolicyTimeline policy;
-
-  // Hardware-offload tax profiles assignable through the policy plane
-  // (docs/TAX.md): MethodPolicy::tax_profile indexes this catalog. An empty
-  // catalog (the default) is replaced with BuiltinProfileCatalog() at
-  // construction, so built-in profile ids are always resolvable; policies
-  // that never set tax_profile keep the legacy host pipeline bit-for-bit.
-  ProfileCatalog tax_profiles;
 
   // Streaming observability pipeline (src/monitor/stream.h). When
   // observability.streaming is true (the default), every shard gets a
@@ -153,11 +146,10 @@ class RpcSystem {
   const CycleCostModel& costs() const { return options_.costs; }
   const RpcSystemOptions& options() const { return options_; }
 
-  // Offload-profile catalog (never empty — see RpcSystemOptions::tax_profiles).
-  const ProfileCatalog& tax_profiles() const { return options_.tax_profiles; }
-  // nullptr for the inherit sentinel (-1) and unknown ids: callers fall back
-  // to the legacy host pipeline.
-  const TaxProfile* TaxProfileById(int32_t id) const { return options_.tax_profiles.Get(id); }
+  // The tax profiles MethodPolicy::tax_profile ids index (docs/TAX.md):
+  // BuiltinProfileCatalog(). Every message the stack encodes is priced under
+  // tax_profiles().GetOrBaseline(resolved id).
+  const ProfileCatalog& tax_profiles() const { return BuiltinProfileCatalog(); }
 
   // Shard-domain structure. Clusters are partitioned into contiguous blocks:
   // shard s owns clusters [ceil(s*C/N), ceil((s+1)*C/N)). Because cluster ids

@@ -19,9 +19,9 @@ struct ServerCall::InflightCall {
   SimDuration recv_known = 0;
   size_t index = 0;  // Position in Server::inflight_ (swap-erase bookkeeping).
   bool responded = false;
-  // Tax profile resolved once at delivery time (ProfileCatalog id; -1 = the
-  // legacy pipeline) so rx and tx sides price consistently even if the policy
-  // plane hot-swaps profiles at a barrier mid-call. See docs/TAX.md.
+  // Tax profile id resolved once at delivery time (-1 and unknown ids price
+  // under `baseline`) so rx and tx sides price consistently even if the
+  // policy plane hot-swaps profiles at a barrier mid-call. See docs/TAX.md.
   int32_t tax_profile = -1;
   // Device cycles charged on the receive side; echoed back with the reply
   // (plus the tx side) so the client owns the whole call's device total.
@@ -205,10 +205,8 @@ void Server::DeliverRequest(IncomingRequest request) {
   // and tx price under the same model even across a barrier policy swap
   // (docs/TAX.md#assigning-profiles-through-the-policy-plane). Resolve() is a
   // pure read of the current snapshot, so the extra call is deterministic.
-  const int32_t profile_id =
+  fl->tax_profile =
       shard_->policy.current().Resolve(fl->req.service_id, fl->req.method).tax_profile;
-  const TaxProfile* profile = system_->TaxProfileById(profile_id);
-  fl->tax_profile = profile != nullptr ? profile_id : -1;
   // Colocated requests arrive by shared buffer: no decrypt/parse pipeline,
   // only the RPC library hand-off (the skipped stages are the client's
   // per-span avoided tax; docs/POLICY.md#colocated-bypass).
@@ -216,21 +214,19 @@ void Server::DeliverRequest(IncomingRequest request) {
   SimDuration rx_dev_time = 0;
   if (fl->req.colocated) {
     rx_cost = costs.LocalDeliveryCost();
-  } else if (profile != nullptr) {
-    const ProfileCost pc = profile->MessageCost(
-        costs, StageCostInput{.payload_bytes = fl->req.request_frame.payload_bytes,
-                              .wire_bytes = fl->req.request_frame.wire_bytes,
-                              .send = false});
-    rx_cost = pc.host;
-    fl->rx_device_cycles = pc.device_cycles;
-    if (pc.device_cycles > 0) {
-      device_cycles_ += pc.device_cycles;
-      device_cycles_counter_->Increment(pc.device_cycles);
-      rx_dev_time = profile->DeviceTime(pc.device_cycles);
-    }
   } else {
-    rx_cost = costs.RecvSideCost(fl->req.request_frame.payload_bytes,
-                                 fl->req.request_frame.wire_bytes);
+    const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(fl->tax_profile);
+    const ProfileCost rx = profile.MessageCost(
+        costs, {.payload_bytes = fl->req.request_frame.payload_bytes,
+                .wire_bytes = fl->req.request_frame.wire_bytes,
+                .send = false});
+    rx_cost = rx.host;
+    fl->rx_device_cycles = rx.device_cycles;
+    if (rx.device_cycles > 0) {
+      device_cycles_ += rx.device_cycles;
+      device_cycles_counter_->Increment(rx.device_cycles);
+      rx_dev_time = profile.DeviceTime(rx.device_cycles);
+    }
   }
 
   const SimDuration rx_time = costs.CyclesToDuration(rx_cost.TaxTotal(), machine_speed_);
@@ -397,30 +393,21 @@ void Server::FinishCall(ServerCall* call, Status status, Payload response) {
 
   WireFrame frame =
       EncodeFrame(response, system_->options().encryption_key, call->span_id_ ^ 0x1, scratch_);
-  // Price the send side under the profile resolved at delivery time (-1 =
-  // legacy pipeline). Offloaded cycles run on the device after the tx worker
-  // finishes the host-side share; the device wait lands in resp_proc.
-  const TaxProfile* profile = system_->TaxProfileById(fl->tax_profile);
-  CycleBreakdown tx_cost;
-  double tx_device_cycles = 0;
+  // Price the send side under the profile resolved at delivery time.
+  // Offloaded cycles run on the device after the tx worker finishes the
+  // host-side share; the device wait lands in resp_proc.
+  const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(fl->tax_profile);
+  const ProfileCost tx = profile.MessageCost(
+      costs, {.payload_bytes = frame.payload_bytes, .wire_bytes = frame.wire_bytes, .send = true});
+  const double tx_device_cycles = tx.device_cycles;
   SimDuration tx_dev_time = 0;
-  if (profile == nullptr) {
-    tx_cost = costs.SendSideCost(frame.payload_bytes, frame.wire_bytes);
-  } else {
-    const ProfileCost pc = profile->MessageCost(
-        costs, StageCostInput{.payload_bytes = frame.payload_bytes,
-                              .wire_bytes = frame.wire_bytes,
-                              .send = true});
-    tx_cost = pc.host;
-    tx_device_cycles = pc.device_cycles;
-    if (pc.device_cycles > 0) {
-      device_cycles_ += pc.device_cycles;
-      device_cycles_counter_->Increment(pc.device_cycles);
-      tx_dev_time = profile->DeviceTime(pc.device_cycles);
-    }
+  if (tx_device_cycles > 0) {
+    device_cycles_ += tx_device_cycles;
+    device_cycles_counter_->Increment(tx_device_cycles);
+    tx_dev_time = profile.DeviceTime(tx_device_cycles);
   }
-  call->cycles_.Accumulate(tx_cost);
-  const SimDuration tx_time = costs.CyclesToDuration(tx_cost.TaxTotal(), machine_speed_);
+  call->cycles_.Accumulate(tx.host);
+  const SimDuration tx_time = costs.CyclesToDuration(tx.host.TaxTotal(), machine_speed_);
 
   std::shared_ptr<ServerCall> self = call->self_;
   tx_pool_.Submit(
@@ -478,30 +465,20 @@ void Server::FinishStreamCall(ServerCall* call, Status status, Payload chunk,
   // Each chunk is priced under the profile resolved at delivery time; with
   // an offloading profile every chunk crosses the device, so the stream's
   // device cycles scale with chunk count just like its host-side tax.
-  const TaxProfile* profile = system_->TaxProfileById(fl->tax_profile);
-  CycleBreakdown per_chunk;
-  double per_chunk_device = 0;
-  if (profile == nullptr) {
-    per_chunk = costs.SendSideCost(frame.payload_bytes, frame.wire_bytes);
-  } else {
-    const ProfileCost pc = profile->MessageCost(
-        costs, StageCostInput{.payload_bytes = frame.payload_bytes,
-                              .wire_bytes = frame.wire_bytes,
-                              .send = true});
-    per_chunk = pc.host;
-    per_chunk_device = pc.device_cycles;
-  }
+  const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(fl->tax_profile);
+  const ProfileCost per_chunk = profile.MessageCost(
+      costs, {.payload_bytes = frame.payload_bytes, .wire_bytes = frame.wire_bytes, .send = true});
   CycleBreakdown tx_cost;
   double tx_device_cycles = 0;
   for (int c = 0; c < num_chunks; ++c) {
-    tx_cost.Accumulate(per_chunk);
-    tx_device_cycles += per_chunk_device;
+    tx_cost.Accumulate(per_chunk.host);
+    tx_device_cycles += per_chunk.device_cycles;
   }
   SimDuration tx_dev_time = 0;
   if (tx_device_cycles > 0) {
     device_cycles_ += tx_device_cycles;
     device_cycles_counter_->Increment(tx_device_cycles);
-    tx_dev_time = profile->DeviceTime(tx_device_cycles);
+    tx_dev_time = profile.DeviceTime(tx_device_cycles);
   }
   call->cycles_.Accumulate(tx_cost);
   // The tx worker is held for the whole stream (chunks go out back-to-back).

@@ -1,64 +1,120 @@
 #include "src/rpc/stage_model.h"
 
-#include <utility>
-
-#include "src/common/check.h"
-
 namespace rpcscope {
 
-StageCost HostStageModel::Cost(CycleCategory stage, const StageCostInput& in,
-                               const CycleCostModel& base) const {
-  StageCost cost;
-  cost.host_cycles =
-      base.StageCycles(stage, in.send, in.payload_bytes, in.wire_bytes, in.byte_cost_scale);
-  return cost;
+namespace {
+
+// A profile with every stage on the host rule; callers then reassign the
+// stages they reprice.
+TaxProfile HostProfile(std::string_view name, std::string summary, std::string source) {
+  TaxProfile profile;
+  profile.name = std::string(name);
+  profile.summary = std::move(summary);
+  profile.source = std::move(source);
+  return profile;
 }
 
-StageCost ScaledStageModel::Cost(CycleCategory stage, const StageCostInput& in,
-                                 const CycleCostModel& base) const {
-  StageCost cost;
-  cost.host_cycles =
-      fixed_scale_ * base.StageFixedCycles(stage, in.send) +
-      per_byte_scale_ * base.StageByteCycles(stage, in.send, in.payload_bytes, in.wire_bytes,
-                                             in.byte_cost_scale);
-  return cost;
-}
+// The built-in profiles, in id order (see BuiltinProfileCatalog()).
+std::vector<TaxProfile> BuiltinProfiles() {
+  std::vector<TaxProfile> profiles;
+  profiles.reserve(5);
 
-StageCost DeviceStageModel::Cost(CycleCategory stage, const StageCostInput& in,
-                                 const CycleCostModel& base) const {
-  // Host side: post a descriptor and DMA the message; the stage's real work
-  // becomes device occupancy, scaled by the engine's relative efficiency.
-  const double wb = static_cast<double>(in.wire_bytes) * in.byte_cost_scale;
-  StageCost cost;
-  cost.host_cycles = host_fixed_cycles_ + host_per_byte_cycles_ * wb;
-  cost.device_cycles =
-      device_cycle_scale_ *
-      base.StageCycles(stage, in.send, in.payload_bytes, in.wire_bytes, in.byte_cost_scale);
-  return cost;
-}
+  // id 0: the calibrated host pipeline.
+  profiles.push_back(HostProfile(kProfileBaseline, "host pipeline as calibrated (docs/TAX.md)",
+                                 "SOSP'23 Figs. 20/21 calibration"));
 
-StageCost BypassStageModel::Cost(CycleCategory stage, const StageCostInput& in,
-                                 const CycleCostModel& base) const {
-  if (in.colocated) {
-    return StageCost{};
+  // id 1: PCIe-attached RPC accelerator. The data-touching stages
+  // (serialization, compression, encryption, checksum) collapse to a
+  // descriptor/DMA cost on the host; their cycles run on a 5 GHz device
+  // engine behind the endpoint's accelerator queue. Netstack and RPC-library
+  // bookkeeping stay on the host.
+  TaxProfile& rpcacc = profiles.emplace_back(HostProfile(
+      kProfileRpcAcc,
+      "PCIe RPC accelerator: data-touching stages -> transfer cost + device queue",
+      "RPCAcc, arXiv 2411.07632"));
+  for (const CycleCategory stage : {CycleCategory::kSerialization, CycleCategory::kCompression,
+                                    CycleCategory::kEncryption, CycleCategory::kChecksum}) {
+    rpcacc.stages[static_cast<size_t>(stage)] = {.kind = StageRule::Kind::kDevice,
+                                                 .host_fixed_cycles = 120,
+                                                 .host_per_byte_cycles = 0.02,
+                                                 .device_cycle_scale = 1.0};
   }
-  StageCost cost;
-  cost.host_cycles =
-      base.StageCycles(stage, in.send, in.payload_bytes, in.wire_bytes, in.byte_cost_scale);
-  return cost;
+
+  // id 2: DPDK-class userspace netstack. Syscall/interrupt fixed cost and
+  // per-packet processing slashed, zero-copy trims the per-byte term; every
+  // other stage unchanged.
+  TaxProfile& bypass = profiles.emplace_back(HostProfile(
+      kProfileKernelBypass,
+      "userspace netstack: fixed/per-packet terms slashed, zero-copy per-byte",
+      "kernel-bypass stacks (eRPC/DPDK lineage)"));
+  bypass.stages[static_cast<size_t>(CycleCategory::kNetworking)] = {
+      .kind = StageRule::Kind::kScaled, .fixed_scale = 0.08, .size_scale = 0.3};
+
+  // id 3: inline NIC crypto + CRC engines. Per-byte encryption and checksum
+  // cost goes to ~0 as bytes are processed on the wire path; the fixed
+  // driver/setup cost of encryption remains.
+  TaxProfile& nic = profiles.emplace_back(
+      HostProfile(kProfileNicCrypto, "inline NIC crypto/CRC: encryption+checksum per-byte ~ 0",
+                  "on-NIC AES/CRC engines (IPsec/PSP-class offload)"));
+  for (const CycleCategory stage : {CycleCategory::kEncryption, CycleCategory::kChecksum}) {
+    nic.stages[static_cast<size_t>(stage)] = {
+        .kind = StageRule::Kind::kScaled, .fixed_scale = 1.0, .size_scale = 0.0};
+  }
+
+  // id 4: NotNets-style network bypass for colocated caller/callee pairs:
+  // colocated messages keep only RPC-library bookkeeping (the same shape as
+  // the colocated fast path's LocalDeliveryCost); remote messages pay the
+  // full host pipeline.
+  TaxProfile& notnets = profiles.emplace_back(
+      HostProfile(kProfileNotnetsColocated,
+                  "network bypass for colocated pairs: only RPC-library cycles remain",
+                  "NotNets, arXiv 2404.06581"));
+  for (int i = 0; i < kNumTaxCategories; ++i) {
+    if (static_cast<CycleCategory>(i) != CycleCategory::kRpcLibrary) {
+      notnets.stages[static_cast<size_t>(i)] = {.kind = StageRule::Kind::kColocatedBypass};
+    }
+  }
+
+  return profiles;
+}
+
+}  // namespace
+
+void StageRule::Charge(CycleCategory stage, const CycleCostModel& base, const StageCostInput& in,
+                       ProfileCost& cost) const {
+  const StageTerms t =
+      base.Stage(stage, in.send, in.payload_bytes, in.wire_bytes, in.byte_cost_scale);
+  const double total = t.Total();
+  double host = total;
+  switch (kind) {
+    case Kind::kHost:
+      break;
+    case Kind::kScaled:
+      host = fixed_scale * t.fixed + size_scale * (t.per_packet + t.per_byte);
+      break;
+    case Kind::kDevice:
+      // Host side: post a descriptor and DMA the message; the stage's real
+      // work becomes device occupancy, scaled by the engine's efficiency.
+      host = host_fixed_cycles +
+             host_per_byte_cycles * (static_cast<double>(in.wire_bytes) * in.byte_cost_scale);
+      cost.device_cycles += device_cycle_scale * total;
+      break;
+    case Kind::kColocatedBypass:
+      host = in.colocated ? 0 : total;
+      break;
+  }
+  cost.host[stage] = host;
 }
 
 ProfileCost TaxProfile::MessageCost(const CycleCostModel& base, const StageCostInput& in) const {
-  ProfileCost total;
+  ProfileCost cost;
+  // Unrolled, each stage's CycleCostModel::Stage switch folds away and the
+  // host pipeline costs about what a hand-written six-stage sum does.
+#pragma GCC unroll 6
   for (int i = 0; i < kNumTaxCategories; ++i) {
-    const CycleCategory stage = static_cast<CycleCategory>(i);
-    const StageCostModel* model = stages[static_cast<size_t>(i)].get();
-    RPCSCOPE_CHECK(model != nullptr);
-    const StageCost cost = model->Cost(stage, in, base);
-    total.host[stage] = cost.host_cycles;
-    total.device_cycles += cost.device_cycles;
+    stages[static_cast<size_t>(i)].Charge(static_cast<CycleCategory>(i), base, in, cost);
   }
-  return total;
+  return cost;
 }
 
 SimDuration TaxProfile::DeviceTime(double device_cycles) const {
@@ -69,123 +125,36 @@ SimDuration TaxProfile::DeviceTime(double device_cycles) const {
                     DurationFromSeconds(device_cycles / device.cycles_per_second));
 }
 
-TaxProfile UniformProfile(std::string name, std::string summary, std::string source,
-                          std::shared_ptr<const StageCostModel> model) {
-  TaxProfile profile;
-  profile.name = std::move(name);
-  profile.summary = std::move(summary);
-  profile.source = std::move(source);
-  for (auto& stage : profile.stages) {
-    stage = model;
-  }
-  return profile;
-}
-
-int32_t ProfileCatalog::Register(TaxProfile profile) {
-  RPCSCOPE_CHECK(!profile.name.empty());
-  RPCSCOPE_CHECK(Find(profile.name) == nullptr);
-  profiles_.push_back(std::make_shared<const TaxProfile>(std::move(profile)));
-  return static_cast<int32_t>(profiles_.size()) - 1;
-}
+const TaxProfile& BaselineProfile() { return BuiltinProfileCatalog().at(0); }
 
 const TaxProfile* ProfileCatalog::Get(int32_t id) const {
   if (id < 0 || static_cast<size_t>(id) >= profiles_.size()) {
     return nullptr;
   }
-  return profiles_[static_cast<size_t>(id)].get();
+  return &profiles_[static_cast<size_t>(id)];
+}
+
+const TaxProfile& ProfileCatalog::GetOrBaseline(int32_t id) const {
+  const TaxProfile* profile = Get(id);
+  return profile != nullptr ? *profile : profiles_.front();
 }
 
 const TaxProfile* ProfileCatalog::Find(std::string_view name) const {
-  for (const auto& profile : profiles_) {
-    if (profile->name == name) {
-      return profile.get();
-    }
-  }
-  return nullptr;
+  const int32_t id = IdOf(name);
+  return id < 0 ? nullptr : Get(id);
 }
 
 int32_t ProfileCatalog::IdOf(std::string_view name) const {
   for (size_t i = 0; i < profiles_.size(); ++i) {
-    if (profiles_[i]->name == name) {
+    if (profiles_[i].name == name) {
       return static_cast<int32_t>(i);
     }
   }
   return -1;
 }
 
-ProfileCatalog BuiltinProfileCatalog() {
-  ProfileCatalog catalog;
-  const auto host = std::make_shared<const HostStageModel>();
-
-  // id 0: the calibrated host pipeline, bit-identical to the legacy path.
-  catalog.Register(UniformProfile(
-      std::string(kProfileBaseline), "host pipeline as calibrated (docs/TAX.md)",
-      "SOSP'23 Figs. 20/21 calibration", host));
-
-  // id 1: PCIe-attached RPC accelerator. The data-touching stages
-  // (serialization, compression, encryption, checksum) collapse to a
-  // descriptor/DMA cost on the host; their cycles run on a 5 GHz device
-  // engine behind the endpoint's accelerator queue. Netstack and RPC-library
-  // bookkeeping stay on the host.
-  {
-    TaxProfile rpcacc = UniformProfile(
-        std::string(kProfileRpcAcc),
-        "PCIe RPC accelerator: data-touching stages -> transfer cost + device queue",
-        "RPCAcc, arXiv 2411.07632", host);
-    const auto offload = std::make_shared<const DeviceStageModel>(
-        /*host_fixed_cycles=*/120, /*host_per_byte_cycles=*/0.02,
-        /*device_cycle_scale=*/1.0);
-    for (CycleCategory stage :
-         {CycleCategory::kSerialization, CycleCategory::kCompression,
-          CycleCategory::kEncryption, CycleCategory::kChecksum}) {
-      rpcacc.stages[static_cast<size_t>(stage)] = offload;
-    }
-    catalog.Register(std::move(rpcacc));
-  }
-
-  // id 2: DPDK-class userspace netstack. Syscall/interrupt fixed cost and
-  // per-packet processing slashed, zero-copy trims the per-byte term; every
-  // other stage unchanged.
-  {
-    TaxProfile bypass = UniformProfile(
-        std::string(kProfileKernelBypass),
-        "userspace netstack: fixed/per-packet terms slashed, zero-copy per-byte",
-        "kernel-bypass stacks (eRPC/DPDK lineage)", host);
-    bypass.stages[static_cast<size_t>(CycleCategory::kNetworking)] =
-        std::make_shared<const ScaledStageModel>(/*fixed_scale=*/0.08,
-                                                 /*per_byte_scale=*/0.3);
-    catalog.Register(std::move(bypass));
-  }
-
-  // id 3: inline NIC crypto + CRC engines. Per-byte encryption and checksum
-  // cost goes to ~0 as bytes are processed on the wire path; the fixed
-  // driver/setup cost of encryption remains.
-  {
-    TaxProfile nic = UniformProfile(
-        std::string(kProfileNicCrypto),
-        "inline NIC crypto/CRC: encryption+checksum per-byte ~ 0",
-        "on-NIC AES/CRC engines (IPsec/PSP-class offload)", host);
-    const auto fixed_only =
-        std::make_shared<const ScaledStageModel>(/*fixed_scale=*/1.0, /*per_byte_scale=*/0.0);
-    nic.stages[static_cast<size_t>(CycleCategory::kEncryption)] = fixed_only;
-    nic.stages[static_cast<size_t>(CycleCategory::kChecksum)] = fixed_only;
-    catalog.Register(std::move(nic));
-  }
-
-  // id 4: NotNets-style network bypass for colocated caller/callee pairs:
-  // colocated messages keep only RPC-library bookkeeping (the same shape as
-  // the colocated fast path's LocalDeliveryCost); remote messages pay the
-  // full host pipeline.
-  {
-    TaxProfile notnets = UniformProfile(
-        std::string(kProfileNotnetsColocated),
-        "network bypass for colocated pairs: only RPC-library cycles remain",
-        "NotNets, arXiv 2404.06581",
-        std::make_shared<const BypassStageModel>());
-    notnets.stages[static_cast<size_t>(CycleCategory::kRpcLibrary)] = host;
-    catalog.Register(std::move(notnets));
-  }
-
+const ProfileCatalog& BuiltinProfileCatalog() {
+  static const ProfileCatalog catalog(BuiltinProfiles());
   return catalog;
 }
 

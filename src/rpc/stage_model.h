@@ -1,29 +1,29 @@
-// Pluggable per-stage RPC-tax cost models and hardware-offload profiles.
+// RPC-tax stage rules and hardware-offload profiles.
 //
 // The paper's headline result is the RPC "tax": the cycles every call burns
 // in compression, serialization, encryption, checksumming, the network stack,
 // and RPC library bookkeeping (Figs. 20/21). RPCAcc (arXiv 2411.07632) and
 // NotNets (arXiv 2404.06581) ask what the fleet looks like when stages of
 // that tax are offloaded to hardware or bypassed entirely. This module makes
-// the question expressible: each tax stage is priced by a StageCostModel, a
-// TaxProfile is a named bundle of stage models (one per tax category), and a
-// ProfileCatalog names the bundles so the policy plane can assign them per
+// the question expressible: a TaxProfile holds one StageRule per tax
+// category, saying how that stage's CycleCostModel terms are charged, and a
+// ProfileCatalog names the profiles so the policy plane can assign them per
 // service/method (MethodPolicy::tax_profile) and the analysis tooling can
 // sweep them (examples/offload_whatif, rpcscope_analyze --analysis=offload).
 //
-// Determinism contract (docs/TAX.md): stage models are pure functions of
-// their inputs — no RNG, no mutable state — and the `baseline` profile
-// charges bit-for-bit the same doubles as CycleCostModel::SendSideCost/
-// RecvSideCost, so runs that resolve no profile (or resolve `baseline`)
-// reproduce pre-profile digests exactly.
+// There is one pricing path: every message side — DES client and server,
+// FleetSampler, the colocated avoided-tax estimate, the offload what-if —
+// goes through TaxProfile::MessageCost. The `baseline` profile (every stage
+// on the host rule) *is* the calibrated host pipeline. Rules are pure
+// functions of their inputs (docs/TAX.md#determinism).
 #ifndef RPCSCOPE_SRC_RPC_STAGE_MODEL_H_
 #define RPCSCOPE_SRC_RPC_STAGE_MODEL_H_
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/time.h"
@@ -35,95 +35,15 @@ namespace rpcscope {
 struct StageCostInput {
   int64_t payload_bytes = 0;  // Serialized (pre-compression) size.
   int64_t wire_bytes = 0;     // On-wire (post-compression, framed) size.
-  // Per-byte/per-packet discount for blob-style channels; multiplies into
-  // the byte terms exactly as in CycleCostModel::SendSideCost.
+  // Per-byte/per-packet discount for blob-style channels (see
+  // CycleCostModel::Stage).
   double byte_cost_scale = 1.0;
   bool send = true;  // Send side (serialize/compress) vs receive side.
-  // Caller and callee share a locality domain: the same machine on the DES
-  // fast path, the same cluster in the analytic sweep. Only bypass-style
-  // profiles (notnets_colocated) read it.
+  // Caller and callee share a locality domain. Only the colocated-bypass
+  // rule reads it, and only AnalyzeOffloadWhatIf sets it (from
+  // Span::colocated): the DES serves colocated calls on its own fast path
+  // before any profile is consulted.
   bool colocated = false;
-};
-
-// Where one stage's cycles land. Host cycles are the CPU tax (they convert
-// to latency on the machine clock and feed the Fig. 20/21 accounting);
-// device cycles execute on the offload device's clock, behind its queue.
-struct StageCost {
-  double host_cycles = 0;
-  double device_cycles = 0;
-};
-
-// Prices one tax stage for one message. Implementations must be pure
-// functions of (stage, in, base): profile resolution must not perturb RNG
-// draws, event counts, or any other determinism-bearing state.
-class StageCostModel {
- public:
-  virtual ~StageCostModel() = default;
-  virtual StageCost Cost(CycleCategory stage, const StageCostInput& in,
-                         const CycleCostModel& base) const = 0;
-};
-
-// Host pipeline as-is: exactly the term CycleCostModel charges for the
-// stage (delegates to CycleCostModel::StageCycles, which is what keeps the
-// `baseline` profile bit-identical to the legacy path).
-class HostStageModel : public StageCostModel {
- public:
-  StageCost Cost(CycleCategory stage, const StageCostInput& in,
-                 const CycleCostModel& base) const override;
-};
-
-// Scales the stage's fixed (per-message) and byte-dependent (per-byte +
-// per-packet) terms independently: kernel-bypass netstacks slash the fixed
-// and per-packet cost, on-NIC crypto zeroes the per-byte cost.
-class ScaledStageModel : public StageCostModel {
- public:
-  ScaledStageModel(double fixed_scale, double per_byte_scale)
-      : fixed_scale_(fixed_scale), per_byte_scale_(per_byte_scale) {}
-  StageCost Cost(CycleCategory stage, const StageCostInput& in,
-                 const CycleCostModel& base) const override;
-
- private:
-  double fixed_scale_;
-  double per_byte_scale_;
-};
-
-// Offloads the stage to a PCIe-attached device (RPCAcc-style): the host pays
-// only a descriptor/DMA setup cost, the stage's work runs on the device
-// clock (scaled by the device's relative efficiency) behind the endpoint's
-// accelerator queue (ServerResource).
-class DeviceStageModel : public StageCostModel {
- public:
-  DeviceStageModel(double host_fixed_cycles, double host_per_byte_cycles,
-                   double device_cycle_scale)
-      : host_fixed_cycles_(host_fixed_cycles),
-        host_per_byte_cycles_(host_per_byte_cycles),
-        device_cycle_scale_(device_cycle_scale) {}
-  StageCost Cost(CycleCategory stage, const StageCostInput& in,
-                 const CycleCostModel& base) const override;
-
- private:
-  double host_fixed_cycles_;
-  double host_per_byte_cycles_;
-  double device_cycle_scale_;
-};
-
-// NotNets-style bypass: colocated messages skip the stage entirely (the
-// saved cycles surface as avoided tax, reusing the colocated fast path's
-// accounting); non-colocated messages pay the full host cost.
-class BypassStageModel : public StageCostModel {
- public:
-  StageCost Cost(CycleCategory stage, const StageCostInput& in,
-                 const CycleCostModel& base) const override;
-};
-
-// The offload device behind DeviceStageModel stages: its clock converts
-// offloaded cycles to occupancy time, and every message that touches it pays
-// a fixed transfer latency (PCIe DMA round trip). The device *queue* is not
-// modeled here — endpoints own a ServerResource accelerator pool, so queueing
-// delay emerges from load exactly like every other pool in the stack.
-struct DeviceModel {
-  double cycles_per_second = 5.0e9;
-  SimDuration transfer_latency = Micros(1);
 };
 
 // Aggregate cost of one message under a profile.
@@ -132,19 +52,52 @@ struct ProfileCost {
   double device_cycles = 0;  // Total cycles moved to the offload device.
 };
 
-// A named bundle of stage models, one per tax category. Immutable once
-// registered in a catalog; shared by pointer across shards, which is safe
-// because stage models are stateless.
+// How a profile charges one tax stage, given the stage's CycleCostModel
+// terms t (docs/TAX.md#stage-rules):
+//   kHost             host t.Total() — the calibrated pipeline.
+//   kScaled           host fixed_scale × t.fixed +
+//                     size_scale × (t.per_packet + t.per_byte).
+//   kDevice           host host_fixed_cycles + host_per_byte_cycles × wire
+//                     bytes × byte_cost_scale (descriptor/DMA setup);
+//                     device_cycle_scale × t.Total() runs on the offload
+//                     device.
+//   kColocatedBypass  colocated messages charge nothing; others t.Total().
+struct StageRule {
+  enum class Kind : uint8_t { kHost, kScaled, kDevice, kColocatedBypass };
+
+  Kind kind = Kind::kHost;
+  double fixed_scale = 1.0;           // kScaled.
+  double size_scale = 1.0;            // kScaled.
+  double host_fixed_cycles = 0;       // kDevice.
+  double host_per_byte_cycles = 0;    // kDevice.
+  double device_cycle_scale = 1.0;    // kDevice.
+
+  // Prices `stage` of one message under this rule: sets cost.host[stage] and
+  // adds the stage's device cycles to cost.device_cycles.
+  void Charge(CycleCategory stage, const CycleCostModel& base, const StageCostInput& in,
+              ProfileCost& cost) const;
+};
+
+// The offload device behind kDevice stages: its clock converts offloaded
+// cycles to occupancy time, and every message that touches it pays a fixed
+// transfer latency (PCIe DMA round trip). The device *queue* is not modeled
+// here — endpoints own a ServerResource accelerator pool, so queueing delay
+// emerges from load exactly like every other pool in the stack.
+struct DeviceModel {
+  double cycles_per_second = 5.0e9;
+  SimDuration transfer_latency = Micros(1);
+};
+
+// A named set of stage rules, one per tax category. Immutable once in a
+// catalog; a default-constructed profile prices like `baseline`.
 struct TaxProfile {
   std::string name;
   std::string summary;  // One line, shown by rpcscope_analyze --list-profiles.
   std::string source;   // Literature anchor (docs/TAX.md#built-in-profiles).
-  std::array<std::shared_ptr<const StageCostModel>, kNumTaxCategories> stages;
+  std::array<StageRule, kNumTaxCategories> stages{};
   DeviceModel device;
 
-  // Prices one message: every tax stage in category order. For the
-  // `baseline` profile the resulting breakdown equals
-  // CycleCostModel::SendSideCost/RecvSideCost bit-for-bit.
+  // Prices one message direction: every tax stage in category order.
   ProfileCost MessageCost(const CycleCostModel& base, const StageCostInput& in) const;
 
   // Virtual time `device_cycles` of offloaded work occupies the device,
@@ -152,38 +105,40 @@ struct TaxProfile {
   SimDuration DeviceTime(double device_cycles) const;
 };
 
-// Builds a profile whose six stages all use `model` (shared).
-TaxProfile UniformProfile(std::string name, std::string summary, std::string source,
-                          std::shared_ptr<const StageCostModel> model);
+// The calibrated host pipeline: every stage on the host rule. It is
+// BuiltinProfileCatalog().at(0), and prices the messages no policy reaches
+// (FleetSampler, the colocated fast path's avoided-tax estimate).
+const TaxProfile& BaselineProfile();
 
-// Ordered, append-only registry of profiles. A profile's id is its index —
-// the value MethodPolicy::tax_profile carries — so ids are stable for the
-// lifetime of a catalog and across every shard of a system.
-class ProfileCatalog {
- public:
-  // Returns the new profile's id. Names must be unique (CHECKed).
-  int32_t Register(TaxProfile profile);
-
-  // nullptr for ids outside [0, size()) — callers treat that as "no profile"
-  // (the legacy host pipeline).
-  const TaxProfile* Get(int32_t id) const;
-  const TaxProfile* Find(std::string_view name) const;
-  int32_t IdOf(std::string_view name) const;  // -1 when absent.
-
-  size_t size() const { return profiles_.size(); }
-  bool empty() const { return profiles_.empty(); }
-  const TaxProfile& at(size_t i) const { return *profiles_[i]; }
-
- private:
-  std::vector<std::shared_ptr<const TaxProfile>> profiles_;
-};
-
-// Built-in profile names (ids in BuiltinProfileCatalog registration order).
+// Built-in profile names, in id order.
 inline constexpr std::string_view kProfileBaseline = "baseline";
 inline constexpr std::string_view kProfileRpcAcc = "rpcacc";
 inline constexpr std::string_view kProfileKernelBypass = "kernel_bypass";
 inline constexpr std::string_view kProfileNicCrypto = "nic_crypto";
 inline constexpr std::string_view kProfileNotnetsColocated = "notnets_colocated";
+
+// The built-in profiles, in a fixed order. A profile's id is its index —
+// the value MethodPolicy::tax_profile carries — so ids are the same in every
+// catalog and on every shard. Id 0 is `baseline`.
+class ProfileCatalog {
+ public:
+  // nullptr for ids outside [0, size()).
+  const TaxProfile* Get(int32_t id) const;
+  // The profile a message is priced under: `id`'s profile, or `baseline`
+  // for the inherit sentinel (-1) and unknown ids.
+  const TaxProfile& GetOrBaseline(int32_t id) const;
+  const TaxProfile* Find(std::string_view name) const;
+  int32_t IdOf(std::string_view name) const;  // -1 when absent.
+
+  size_t size() const { return profiles_.size(); }
+  const TaxProfile& at(size_t i) const { return profiles_[i]; }
+
+ private:
+  friend const ProfileCatalog& BuiltinProfileCatalog();
+  explicit ProfileCatalog(std::vector<TaxProfile> profiles) : profiles_(std::move(profiles)) {}
+
+  std::vector<TaxProfile> profiles_;
+};
 
 // The five built-in offload profiles (docs/TAX.md#built-in-profiles):
 //   baseline           — host pipeline as calibrated; id 0.
@@ -196,8 +151,10 @@ inline constexpr std::string_view kProfileNotnetsColocated = "notnets_colocated"
 //                        checksum per-byte cost ≈ 0, driver setup remains.
 //   notnets_colocated  — network bypass for colocated callers
 //                        (arXiv 2404.06581): colocated messages pay only RPC
-//                        library bookkeeping.
-ProfileCatalog BuiltinProfileCatalog();
+//                        library bookkeeping. The DES never prices a message
+//                        as colocated, so there it prices like baseline.
+// One immutable catalog per process, built on first use.
+const ProfileCatalog& BuiltinProfileCatalog();
 
 }  // namespace rpcscope
 

@@ -4,76 +4,9 @@
 #include <vector>
 
 #include "src/monitor/stream.h"
-#include "src/monitor/windowed.h"
 
 namespace rpcscope {
 namespace {
-
-TEST(WindowedDistributionTest, SeparatesWindows) {
-  WindowedDistribution dist;
-  for (int i = 0; i < 100; ++i) {
-    dist.Record(Minutes(10), 100.0);   // Window [0, 30min).
-    dist.Record(Minutes(40), 1000.0);  // Window [30min, 60min).
-  }
-  const auto series = dist.QuantileSeries(0, Hours(1), 0.5);
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_EQ(series[0].window_start, 0);
-  EXPECT_NEAR(series[0].value, 100, 30);
-  EXPECT_EQ(series[1].window_start, Minutes(30));
-  EXPECT_NEAR(series[1].value, 1000, 300);
-  EXPECT_EQ(series[0].count, 100);
-}
-
-TEST(WindowedDistributionTest, LateArrivalsLandInTheirWindow) {
-  WindowedDistribution dist;
-  dist.Record(Minutes(40), 10.0);
-  dist.Record(Minutes(10), 20.0);  // Late: belongs to the first window.
-  const auto series = dist.QuantileSeries(0, Hours(1), 0.5);
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_EQ(series[0].count, 1);
-  EXPECT_EQ(series[1].count, 1);
-}
-
-TEST(WindowedDistributionTest, RetentionEvictsOldest) {
-  WindowedDistribution::Options opts;
-  opts.max_windows = 3;
-  WindowedDistribution dist(opts);
-  for (int w = 0; w < 10; ++w) {
-    dist.Record(Minutes(30 * w + 5), 50.0);
-  }
-  EXPECT_EQ(dist.num_windows(), 3u);
-  const auto series = dist.QuantileSeries(0, Days(1), 0.5);
-  ASSERT_EQ(series.size(), 3u);
-  EXPECT_EQ(series.front().window_start, Minutes(30 * 7));
-}
-
-TEST(WindowedDistributionTest, MergedEqualsAllSamples) {
-  WindowedDistribution dist;
-  for (int w = 0; w < 8; ++w) {
-    for (int i = 0; i < 50; ++i) {
-      dist.Record(Minutes(30 * w + 1), 100.0 * (w + 1));
-    }
-  }
-  const LogHistogram merged = dist.Merged();
-  EXPECT_EQ(merged.count(), 400);
-  EXPECT_GT(merged.Quantile(0.9), merged.Quantile(0.1));
-}
-
-TEST(WindowedDistributionTest, DiurnalP95Visible) {
-  // Latency doubles in the "busy" half of the day; the per-window P95 series
-  // must expose the swing that a cumulative histogram would average away.
-  WindowedDistribution dist;
-  for (int half_hour = 0; half_hour < 48; ++half_hour) {
-    const bool busy = half_hour >= 16 && half_hour < 32;
-    for (int i = 0; i < 200; ++i) {
-      dist.Record(Minutes(30 * half_hour + 2), busy ? 2000.0 : 1000.0);
-    }
-  }
-  const auto series = dist.QuantileSeries(0, Days(1), 0.95);
-  ASSERT_EQ(series.size(), 48u);
-  EXPECT_NEAR(series[8].value, 1000, 300);
-  EXPECT_NEAR(series[20].value, 2000, 600);
-}
 
 // ---- Streaming pipeline (src/monitor/stream.h) ----
 

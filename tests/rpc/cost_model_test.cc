@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace rpcscope {
 namespace {
 
@@ -36,32 +38,34 @@ TEST(CycleCostModelTest, CyclesToDurationUsesClock) {
 
 TEST(CycleCostModelTest, CostsScaleWithBytes) {
   CycleCostModel m;
-  const CycleBreakdown small = m.SendSideCost(100, 80);
-  const CycleBreakdown large = m.SendSideCost(100000, 80000);
-  EXPECT_GT(large[CycleCategory::kSerialization], small[CycleCategory::kSerialization]);
-  EXPECT_GT(large[CycleCategory::kCompression], small[CycleCategory::kCompression]);
-  EXPECT_GT(large[CycleCategory::kNetworking], small[CycleCategory::kNetworking]);
+  auto send = [&m](CycleCategory stage, int64_t payload, int64_t wire) {
+    return m.Stage(stage, /*send=*/true, payload, wire).Total();
+  };
+  for (const CycleCategory stage :
+       {CycleCategory::kSerialization, CycleCategory::kCompression, CycleCategory::kNetworking}) {
+    EXPECT_GT(send(stage, 100000, 80000), send(stage, 100, 80)) << CycleCategoryName(stage);
+  }
   // RPC library bookkeeping is per call, not per byte.
-  EXPECT_DOUBLE_EQ(large[CycleCategory::kRpcLibrary], small[CycleCategory::kRpcLibrary]);
+  EXPECT_DOUBLE_EQ(send(CycleCategory::kRpcLibrary, 100000, 80000),
+                   send(CycleCategory::kRpcLibrary, 100, 80));
 }
 
 TEST(CycleCostModelTest, SendAndRecvBothChargeAllTaxCategories) {
   CycleCostModel m;
-  for (const CycleBreakdown& b : {m.SendSideCost(1000, 800), m.RecvSideCost(1000, 800)}) {
-    EXPECT_GT(b[CycleCategory::kSerialization], 0);
-    EXPECT_GT(b[CycleCategory::kCompression], 0);
-    EXPECT_GT(b[CycleCategory::kEncryption], 0);
-    EXPECT_GT(b[CycleCategory::kChecksum], 0);
-    EXPECT_GT(b[CycleCategory::kNetworking], 0);
-    EXPECT_GT(b[CycleCategory::kRpcLibrary], 0);
-    EXPECT_DOUBLE_EQ(b[CycleCategory::kApplication], 0);
+  for (const bool send : {true, false}) {
+    for (int i = 0; i < kNumTaxCategories; ++i) {
+      const auto stage = static_cast<CycleCategory>(i);
+      EXPECT_GT(m.Stage(stage, send, 1000, 800).Total(), 0) << CycleCategoryName(stage);
+    }
+    EXPECT_DOUBLE_EQ(m.Stage(CycleCategory::kApplication, send, 1000, 800).Total(), 0);
   }
 }
 
-TEST(CycleCostModelTest, StageCyclesRoundTripsTheAggregateCosts) {
-  // The per-stage view must be the very same expressions the aggregate costs
-  // evaluate (the bit-identity hook stage models rely on, docs/TAX.md), so
-  // each category matches exactly — no tolerance.
+TEST(CycleCostModelTest, StageTermsKeepTheCalibratedExpressions) {
+  // Every profile, the sampler and the what-if price through Stage, and
+  // their digests depend on these doubles: each stage's Total() must be the
+  // calibrated expression, association included — exact equality, no
+  // tolerance (docs/TAX.md#determinism).
   CycleCostModel m;
   struct Shape {
     int64_t payload;
@@ -70,27 +74,34 @@ TEST(CycleCostModelTest, StageCyclesRoundTripsTheAggregateCosts) {
   };
   for (const Shape s : {Shape{0, 0, 1.0}, Shape{100, 80, 1.0}, Shape{100000, 80000, 1.0},
                         Shape{4096, 3000, 0.05}}) {
+    const double pb = static_cast<double>(s.payload) * s.scale;
+    const double wb = static_cast<double>(s.wire) * s.scale;
     for (const bool send : {true, false}) {
-      const CycleBreakdown whole = send ? m.SendSideCost(s.payload, s.wire, s.scale)
-                                        : m.RecvSideCost(s.payload, s.wire, s.scale);
-      double sum = 0;
-      for (int i = 0; i < kNumTaxCategories; ++i) {
-        const auto stage = static_cast<CycleCategory>(i);
-        const double cycles = m.StageCycles(stage, send, s.payload, s.wire, s.scale);
-        EXPECT_EQ(cycles, whole[stage])
-            << CycleCategoryName(stage) << " payload=" << s.payload << " send=" << send;
-        sum += cycles;
-      }
-      EXPECT_DOUBLE_EQ(sum, whole.TaxTotal());
-      // The fixed/byte split recombines to the whole stage (up to rounding).
-      for (int i = 0; i < kNumTaxCategories; ++i) {
-        const auto stage = static_cast<CycleCategory>(i);
-        EXPECT_NEAR(m.StageFixedCycles(stage, send) +
-                        m.StageByteCycles(stage, send, s.payload, s.wire, s.scale),
-                    m.StageCycles(stage, send, s.payload, s.wire, s.scale), 1e-9);
-      }
+      auto total = [&](CycleCategory stage) {
+        return m.Stage(stage, send, s.payload, s.wire, s.scale).Total();
+      };
+      EXPECT_EQ(total(CycleCategory::kSerialization),
+                send ? m.serialize_fixed + m.serialize_per_byte * pb
+                     : m.parse_fixed + m.parse_per_byte * pb);
+      EXPECT_EQ(total(CycleCategory::kCompression),
+                send ? m.compress_fixed + m.compress_per_byte * pb
+                     : m.decompress_fixed + m.decompress_per_byte * pb);
+      EXPECT_EQ(total(CycleCategory::kEncryption), m.encrypt_fixed + m.encrypt_per_byte * wb);
+      EXPECT_EQ(total(CycleCategory::kChecksum), m.checksum_per_byte * wb);
+      EXPECT_EQ(total(CycleCategory::kNetworking),
+                m.netstack_fixed + m.netstack_per_packet * std::ceil(wb / 1500.0) +
+                    m.netstack_per_byte * wb);
+      EXPECT_EQ(total(CycleCategory::kRpcLibrary), m.rpclib_fixed_per_side);
     }
   }
+  // The split: only networking has a per-packet term, only checksum lacks a
+  // fixed one, and byte_cost_scale leaves the fixed term alone.
+  const StageTerms net = m.Stage(CycleCategory::kNetworking, true, 4000, 3001, 0.5);
+  EXPECT_EQ(net.fixed, m.netstack_fixed);
+  EXPECT_EQ(net.per_packet, m.netstack_per_packet * 2);  // ceil(1500.5 / 1500).
+  EXPECT_EQ(m.Stage(CycleCategory::kChecksum, true, 4000, 3000).fixed, 0);
+  EXPECT_EQ(m.Stage(CycleCategory::kSerialization, true, 4000, 3000).per_packet, 0);
+  EXPECT_EQ(m.Stage(CycleCategory::kRpcLibrary, false, 4000, 3000).per_byte, 0);
 }
 
 TEST(CycleCostModelTest, CategoryNamesComplete) {

@@ -1,7 +1,8 @@
-// Pluggable stage-cost profiles (docs/TAX.md): the baseline profile must be
-// bit-for-bit the legacy pipeline — unit-level and through the full DES and
-// mini-fleet digests — while the offload profiles reprice stages, move
-// cycles onto devices, and survive policy hot-swap plus kill-and-resume.
+// Stage rules and tax profiles (docs/TAX.md): the baseline profile is the
+// host pipeline — unit-level, and pinning it changes nothing through the
+// full DES and mini-fleet digests — while the offload profiles reprice
+// stages, move cycles onto devices, and survive policy hot-swap plus
+// kill-and-resume.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +12,7 @@
 
 #include "src/fleet/mini_fleet.h"
 #include "src/rpc/client.h"
+#include "src/rpc/codec.h"
 #include "src/rpc/server.h"
 #include "src/rpc/stage_model.h"
 
@@ -40,22 +42,25 @@ StageCostInput InputOf(const SideCase& c, bool colocated = false) {
       .payload_bytes = c.payload, .wire_bytes = c.wire, .send = c.send, .colocated = colocated};
 }
 
-TEST(StageModelTest, BaselineProfileMatchesLegacyBitForBit) {
+TEST(StageModelTest, BaselineProfileIsTheHostPipelineBitForBit) {
   const CycleCostModel costs;
-  const ProfileCatalog catalog = BuiltinProfileCatalog();
+  const ProfileCatalog& catalog = BuiltinProfileCatalog();
   const TaxProfile* baseline = catalog.Find(kProfileBaseline);
   ASSERT_NE(baseline, nullptr);
+  // Unset and unknown ids price under the same profile.
+  EXPECT_EQ(&catalog.GetOrBaseline(-1), baseline);
+  EXPECT_EQ(&catalog.GetOrBaseline(static_cast<int32_t>(catalog.size())), baseline);
+  EXPECT_EQ(baseline->name, BaselineProfile().name);
   for (const SideCase& c : Cases()) {
     const ProfileCost pc = baseline->MessageCost(costs, InputOf(c));
-    const CycleBreakdown legacy =
-        c.send ? costs.SendSideCost(c.payload, c.wire) : costs.RecvSideCost(c.payload, c.wire);
+    const ProfileCost outside = BaselineProfile().MessageCost(costs, InputOf(c));
     for (int i = 0; i < kNumTaxCategories; ++i) {
       const auto cat = static_cast<CycleCategory>(i);
-      // Exact double equality: the baseline profile evaluates the very same
-      // expressions the legacy pipeline does, in the same order.
-      EXPECT_EQ(pc.host[cat], legacy[cat])
+      // Exact double equality: every stage charges its calibrated Total().
+      EXPECT_EQ(pc.host[cat], costs.Stage(cat, c.send, c.payload, c.wire).Total())
           << "stage " << CycleCategoryName(cat) << " payload " << c.payload << " send "
           << c.send;
+      EXPECT_EQ(outside.host[cat], pc.host[cat]);
     }
     EXPECT_EQ(pc.device_cycles, 0.0);
   }
@@ -63,32 +68,36 @@ TEST(StageModelTest, BaselineProfileMatchesLegacyBitForBit) {
 
 TEST(StageModelTest, ProfileTaxTotalEqualsSumOfChargedStageCycles) {
   const CycleCostModel costs;
-  const ProfileCatalog catalog = BuiltinProfileCatalog();
+  const ProfileCatalog& catalog = BuiltinProfileCatalog();
   for (size_t id = 0; id < catalog.size(); ++id) {
     const TaxProfile& profile = catalog.at(id);
     for (const SideCase& c : Cases()) {
-      const StageCostInput in = InputOf(c);
-      const ProfileCost pc = profile.MessageCost(costs, in);
-      double host_sum = 0;
-      double device_sum = 0;
-      for (int i = 0; i < kNumTaxCategories; ++i) {
-        const auto cat = static_cast<CycleCategory>(i);
-        ASSERT_NE(profile.stages[static_cast<size_t>(i)], nullptr) << profile.name;
-        const StageCost sc = profile.stages[static_cast<size_t>(i)]->Cost(cat, in, costs);
-        EXPECT_EQ(pc.host[cat], sc.host_cycles) << profile.name;
-        host_sum += sc.host_cycles;
-        device_sum += sc.device_cycles;
+      for (const bool colocated : {false, true}) {
+        const StageCostInput in = InputOf(c, colocated);
+        const ProfileCost pc = profile.MessageCost(costs, in);
+        double host_sum = 0;
+        double device_sum = 0;
+        for (int i = 0; i < kNumTaxCategories; ++i) {
+          const auto cat = static_cast<CycleCategory>(i);
+          // Each rule charges its own stage only.
+          ProfileCost alone;
+          profile.stages[static_cast<size_t>(i)].Charge(cat, costs, in, alone);
+          EXPECT_EQ(alone.host.TaxTotal(), alone.host[cat]) << profile.name;
+          EXPECT_EQ(pc.host[cat], alone.host[cat]) << profile.name;
+          host_sum += alone.host[cat];
+          device_sum += alone.device_cycles;
+        }
+        EXPECT_DOUBLE_EQ(pc.host.TaxTotal(), host_sum) << profile.name;
+        EXPECT_DOUBLE_EQ(pc.device_cycles, device_sum) << profile.name;
+        EXPECT_EQ(pc.host[CycleCategory::kApplication], 0.0) << profile.name;
       }
-      EXPECT_DOUBLE_EQ(pc.host.TaxTotal(), host_sum) << profile.name;
-      EXPECT_DOUBLE_EQ(pc.device_cycles, device_sum) << profile.name;
-      EXPECT_EQ(pc.host[CycleCategory::kApplication], 0.0) << profile.name;
     }
   }
 }
 
 TEST(StageModelTest, RpcAccMovesDataTouchingCyclesToDevice) {
   const CycleCostModel costs;
-  const ProfileCatalog catalog = BuiltinProfileCatalog();
+  const ProfileCatalog& catalog = BuiltinProfileCatalog();
   const TaxProfile* baseline = catalog.Find(kProfileBaseline);
   const TaxProfile* rpcacc = catalog.Find(kProfileRpcAcc);
   ASSERT_NE(rpcacc, nullptr);
@@ -107,7 +116,7 @@ TEST(StageModelTest, RpcAccMovesDataTouchingCyclesToDevice) {
 
 TEST(StageModelTest, KernelBypassTouchesOnlyNetworking) {
   const CycleCostModel costs;
-  const ProfileCatalog catalog = BuiltinProfileCatalog();
+  const ProfileCatalog& catalog = BuiltinProfileCatalog();
   const TaxProfile* baseline = catalog.Find(kProfileBaseline);
   const TaxProfile* bypass = catalog.Find(kProfileKernelBypass);
   ASSERT_NE(bypass, nullptr);
@@ -130,7 +139,7 @@ TEST(StageModelTest, KernelBypassTouchesOnlyNetworking) {
 
 TEST(StageModelTest, NicCryptoZeroesPerByteCryptoCost) {
   const CycleCostModel costs;
-  const ProfileCatalog catalog = BuiltinProfileCatalog();
+  const ProfileCatalog& catalog = BuiltinProfileCatalog();
   const TaxProfile* nic = catalog.Find(kProfileNicCrypto);
   ASSERT_NE(nic, nullptr);
   const ProfileCost small =
@@ -151,7 +160,7 @@ TEST(StageModelTest, NicCryptoZeroesPerByteCryptoCost) {
 
 TEST(StageModelTest, NotnetsBypassesOnlyColocatedTraffic) {
   const CycleCostModel costs;
-  const ProfileCatalog catalog = BuiltinProfileCatalog();
+  const ProfileCatalog& catalog = BuiltinProfileCatalog();
   const TaxProfile* baseline = catalog.Find(kProfileBaseline);
   const TaxProfile* notnets = catalog.Find(kProfileNotnetsColocated);
   ASSERT_NE(notnets, nullptr);
@@ -177,7 +186,7 @@ TEST(StageModelTest, NotnetsBypassesOnlyColocatedTraffic) {
 }
 
 TEST(StageModelTest, CatalogLookupsAndNames) {
-  const ProfileCatalog catalog = BuiltinProfileCatalog();
+  const ProfileCatalog& catalog = BuiltinProfileCatalog();
   ASSERT_GE(catalog.size(), 5u);
   EXPECT_EQ(catalog.IdOf(kProfileBaseline), 0);
   for (const std::string_view name :
@@ -230,10 +239,10 @@ class OffloadDesTest : public ::testing::Test {
   }
 };
 
-TEST_F(OffloadDesTest, BaselineProfileReproducesLegacyCallExactly) {
-  RpcSystem legacy(MakeOptions(-1));
+TEST_F(OffloadDesTest, BaselineProfileReproducesUnsetCallExactly) {
+  RpcSystem unset(MakeOptions(-1));
   RpcSystem baseline(MakeOptions(BuiltinProfileCatalog().IdOf(kProfileBaseline)));
-  const CallResult a = RunEcho(legacy, 4096);
+  const CallResult a = RunEcho(unset, 4096);
   const CallResult b = RunEcho(baseline, 4096);
   ASSERT_TRUE(a.status.ok());
   ASSERT_TRUE(b.status.ok());
@@ -254,7 +263,7 @@ TEST_F(OffloadDesTest, RpcAccProfileChargesDeviceCyclesEndToEnd) {
   const MachineId client_machine = system.topology().MachineAt(0, 0);
   const MachineId server_machine = system.topology().MachineAt(0, 1);
   Server server(&system, server_machine, ServerOptions{});
-  // Same handler shape as RunEcho so the legacy reference below differs only
+  // Same handler shape as RunEcho so the unset reference below differs only
   // in the resolved profile.
   server.RegisterMethod(kEcho, "Echo", [](std::shared_ptr<ServerCall> call) {
     call->Compute(Micros(100), [call]() {
@@ -277,23 +286,116 @@ TEST_F(OffloadDesTest, RpcAccProfileChargesDeviceCyclesEndToEnd) {
   EXPECT_GT(system.metrics().GetCounter("tax.profile.rpcacc.tax_cycles").value(), 0.0);
   EXPECT_GT(system.metrics().GetCounter("tax.profile.rpcacc.device_cycles").value(), 0.0);
 
-  // The offloaded call pays less host tax than the same call on the legacy
-  // pipeline.
-  RpcSystem legacy(MakeOptions(-1));
-  const CallResult ref = RunEcho(legacy, 8192);
+  // The offloaded call pays less host tax than the same call with no profile
+  // named.
+  RpcSystem unset(MakeOptions(-1));
+  const CallResult ref = RunEcho(unset, 8192);
   ASSERT_TRUE(ref.status.ok());
   EXPECT_LT(got.cycles.TaxTotal(), ref.cycles.TaxTotal());
 }
 
-TEST_F(OffloadDesTest, UnknownProfileIdFallsBackToLegacyPipeline) {
+TEST_F(OffloadDesTest, UnknownProfileIdPricesLikeUnset) {
   RpcSystem bogus(MakeOptions(9999));
-  RpcSystem legacy(MakeOptions(-1));
+  RpcSystem unset(MakeOptions(-1));
   const CallResult a = RunEcho(bogus, 4096);
-  const CallResult b = RunEcho(legacy, 4096);
+  const CallResult b = RunEcho(unset, 4096);
   ASSERT_TRUE(a.status.ok());
   ASSERT_TRUE(b.status.ok());
   EXPECT_EQ(a.cycles.TaxTotal(), b.cycles.TaxTotal());
   EXPECT_EQ(a.latency.Total(), b.latency.Total());
+}
+
+// A server-streamed response under a profile: the server prices every chunk
+// on send and the client every chunk on receive.
+class OffloadStreamTest : public OffloadDesTest {
+ protected:
+  static constexpr int64_t kChunkBytes = 3000;
+
+  struct StreamRun {
+    CallResult result;
+    double server_device = 0;
+    // The client's own device cycles: its total minus the server's echoed
+    // share.
+    double client_device = 0;
+  };
+
+  static StreamRun RunStream(int32_t tax_profile, int chunks) {
+    RpcSystem system(MakeOptions(tax_profile));
+    const MachineId client_machine = system.topology().MachineAt(0, 0);
+    const MachineId server_machine = system.topology().MachineAt(0, 1);
+    Server server(&system, server_machine, ServerOptions{});
+    server.RegisterMethod(kEcho, "Stream", [chunks](std::shared_ptr<ServerCall> call) {
+      call->Compute(Micros(100), [call, chunks]() {
+        call->FinishStream(Status::Ok(), Payload::Modeled(kChunkBytes, 1.0), chunks);
+      });
+    });
+    Client client(&system, client_machine, ClientOptions{});
+    StreamRun run;
+    client.Call(server_machine, kEcho, Payload::Modeled(256), {},
+                [&](const CallResult& result, Payload) { run.result = result; });
+    system.sim().Run();
+    run.server_device = server.device_cycles();
+    run.client_device = client.device_cycles() - server.device_cycles();
+    return run;
+  }
+};
+
+TEST_F(OffloadStreamTest, RpcAccChargesEveryChunkOnBothEndpoints) {
+  const ProfileCatalog& catalog = BuiltinProfileCatalog();
+  const int32_t rpcacc_id = catalog.IdOf(kProfileRpcAcc);
+  const TaxProfile* rpcacc = catalog.Get(rpcacc_id);
+  ASSERT_NE(rpcacc, nullptr);
+  std::vector<StreamRun> runs;
+  for (const int chunks : {1, 2, 3}) {
+    runs.push_back(RunStream(rpcacc_id, chunks));
+    ASSERT_TRUE(runs.back().result.status.ok()) << chunks;
+  }
+  // What one more chunk costs each endpoint under the profile.
+  const WireFrame chunk = EncodeFrame(Payload::Modeled(kChunkBytes, 1.0), /*key=*/0, /*nonce=*/0);
+  ASSERT_EQ(runs[0].result.response_wire_bytes, chunk.wire_bytes);
+  const CycleCostModel costs;
+  const ProfileCost send = rpcacc->MessageCost(
+      costs, {.payload_bytes = chunk.payload_bytes, .wire_bytes = chunk.wire_bytes, .send = true});
+  const ProfileCost recv = rpcacc->MessageCost(
+      costs, {.payload_bytes = chunk.payload_bytes, .wire_bytes = chunk.wire_bytes, .send = false});
+  ASSERT_GT(send.device_cycles, 0.0);
+  ASSERT_GT(recv.device_cycles, 0.0);
+
+  auto expect_steps = [&runs](const char* what, auto value, double step) {
+    const double tolerance = 1e-9 * value(runs[2]);
+    EXPECT_NEAR(value(runs[1]) - value(runs[0]), step, tolerance) << what;
+    EXPECT_NEAR(value(runs[2]) - value(runs[1]), step, tolerance) << what;
+  };
+  expect_steps("server device cycles", [](const StreamRun& r) { return r.server_device; },
+               send.device_cycles);
+  expect_steps("client device cycles", [](const StreamRun& r) { return r.client_device; },
+               recv.device_cycles);
+  // Host tax: the server sends and the client receives every chunk.
+  expect_steps("host tax", [](const StreamRun& r) { return r.result.cycles.TaxTotal(); },
+               send.host.TaxTotal() + recv.host.TaxTotal());
+}
+
+TEST_F(OffloadStreamTest, BaselinePinnedStreamEqualsUnsetStream) {
+  const int32_t baseline = BuiltinProfileCatalog().IdOf(kProfileBaseline);
+  for (const int chunks : {1, 2, 3}) {
+    SCOPED_TRACE("chunks=" + std::to_string(chunks));
+    const StreamRun unset = RunStream(-1, chunks);
+    const StreamRun pinned = RunStream(baseline, chunks);
+    ASSERT_TRUE(unset.result.status.ok());
+    ASSERT_TRUE(pinned.result.status.ok());
+    for (int i = 0; i < kNumRpcComponents; ++i) {
+      EXPECT_EQ(unset.result.latency.components[static_cast<size_t>(i)],
+                pinned.result.latency.components[static_cast<size_t>(i)])
+          << RpcComponentName(static_cast<RpcComponent>(i));
+    }
+    for (int i = 0; i < kNumCycleCategories; ++i) {
+      EXPECT_EQ(unset.result.cycles.cycles[static_cast<size_t>(i)],
+                pinned.result.cycles.cycles[static_cast<size_t>(i)])
+          << CycleCategoryName(static_cast<CycleCategory>(i));
+    }
+    EXPECT_EQ(pinned.server_device, 0.0);
+    EXPECT_EQ(pinned.client_device, 0.0);
+  }
 }
 
 // --- Mini-fleet digests: the baseline profile is invisible; an offload
@@ -316,39 +418,56 @@ TEST(OffloadFleetTest, BaselineProfileKeepsFleetDigestsBitForBit) {
   for (const uint64_t seed : {0xf1ee7ull, 0x5eedull, 0xca11ull}) {
     for (const int workers : {1, 2, 8}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) + " workers=" + std::to_string(workers));
-      const MiniFleetResult legacy = RunMiniFleet(catalog, SmallFleet(seed, workers));
+      const MiniFleetResult unset = RunMiniFleet(catalog, SmallFleet(seed, workers));
       MiniFleetOptions with_baseline = SmallFleet(seed, workers);
       with_baseline.policy.initial.defaults.tax_profile = baseline_id;
       const MiniFleetResult pinned = RunMiniFleet(catalog, with_baseline);
-      EXPECT_EQ(legacy.event_digest, pinned.event_digest);
-      EXPECT_EQ(legacy.events_executed, pinned.events_executed);
-      EXPECT_EQ(legacy.streamed_aggregate_digest, pinned.streamed_aggregate_digest);
-      EXPECT_EQ(legacy.replayed_aggregate_digest, pinned.replayed_aggregate_digest);
-      EXPECT_EQ(legacy.exemplar_digest, pinned.exemplar_digest);
-      EXPECT_EQ(legacy.spans.size(), pinned.spans.size());
+      EXPECT_EQ(unset.event_digest, pinned.event_digest);
+      EXPECT_EQ(unset.events_executed, pinned.events_executed);
+      EXPECT_EQ(unset.streamed_aggregate_digest, pinned.streamed_aggregate_digest);
+      EXPECT_EQ(unset.replayed_aggregate_digest, pinned.replayed_aggregate_digest);
+      EXPECT_EQ(unset.exemplar_digest, pinned.exemplar_digest);
+      EXPECT_EQ(unset.spans.size(), pinned.spans.size());
     }
   }
 }
 
 TEST(OffloadFleetTest, ProfileHotSwapIsWorkerCountInvariantAndNotANoop) {
   const ServiceCatalog catalog = ServiceCatalog::BuildDefault();
-  const int32_t rpcacc = BuiltinProfileCatalog().IdOf(kProfileRpcAcc);
-  PolicySnapshot stage;
-  stage.defaults.tax_profile = rpcacc;
-  auto with_swap = [&](int workers) {
-    MiniFleetOptions options = SmallFleet(0xf1ee7, workers);
-    options.policy.AddStage(Millis(300), stage);
-    return RunMiniFleet(catalog, options);
-  };
-  const MiniFleetResult one = with_swap(1);
-  const MiniFleetResult eight = with_swap(8);
-  EXPECT_EQ(one.policy_stages_applied, 1u);
-  EXPECT_EQ(one.event_digest, eight.event_digest);
-  EXPECT_EQ(one.events_executed, eight.events_executed);
-  EXPECT_EQ(one.streamed_aggregate_digest, eight.streamed_aggregate_digest);
-  // The swap reprices the pipeline: the legacy fleet diverges.
-  const MiniFleetResult legacy = RunMiniFleet(catalog, SmallFleet(0xf1ee7, 2));
-  EXPECT_NE(legacy.event_digest, one.event_digest);
+  const ProfileCatalog& profiles = BuiltinProfileCatalog();
+  const MiniFleetResult unset = RunMiniFleet(catalog, SmallFleet(0xf1ee7, 2));
+  for (size_t id = 0; id < profiles.size(); ++id) {
+    const std::string& name = profiles.at(id).name;
+    if (name == kProfileBaseline) {
+      continue;  // Pinning baseline is covered above.
+    }
+    SCOPED_TRACE("profile=" + name);
+    PolicySnapshot stage;
+    stage.defaults.tax_profile = static_cast<int32_t>(id);
+    auto with_swap = [&](int workers) {
+      MiniFleetOptions options = SmallFleet(0xf1ee7, workers);
+      options.policy.AddStage(Millis(300), stage);
+      return RunMiniFleet(catalog, options);
+    };
+    const MiniFleetResult one = with_swap(1);
+    const MiniFleetResult eight = with_swap(8);
+    EXPECT_EQ(one.policy_stages_applied, 1u);
+    EXPECT_EQ(one.event_digest, eight.event_digest);
+    EXPECT_EQ(one.events_executed, eight.events_executed);
+    EXPECT_EQ(one.streamed_aggregate_digest, eight.streamed_aggregate_digest);
+    if (name == kProfileNotnetsColocated) {
+      // The DES never prices a message as colocated — colocated calls take
+      // the fast path before any profile is consulted — so this profile
+      // prices like baseline there and the swap changes nothing.
+      EXPECT_EQ(unset.event_digest, one.event_digest);
+      EXPECT_EQ(unset.events_executed, one.events_executed);
+      EXPECT_EQ(unset.streamed_aggregate_digest, one.streamed_aggregate_digest);
+      EXPECT_EQ(unset.exemplar_digest, one.exemplar_digest);
+    } else {
+      // The swap reprices the pipeline: the fleet diverges from the default.
+      EXPECT_NE(unset.event_digest, one.event_digest);
+    }
+  }
 }
 
 TEST(OffloadFleetTest, ProfileSwapSurvivesKillAndResume) {

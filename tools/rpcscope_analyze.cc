@@ -45,7 +45,7 @@ int Usage() {
 
 // --list-profiles: the built-in stage-cost profile catalog (docs/TAX.md).
 int ListProfiles() {
-  const ProfileCatalog catalog = BuiltinProfileCatalog();
+  const ProfileCatalog& catalog = BuiltinProfileCatalog();
   TextTable t({"id", "profile", "summary", "source"});
   for (size_t i = 0; i < catalog.size(); ++i) {
     const TaxProfile& p = catalog.at(i);

@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# Digest parity across revisions (docs/CORRECTNESS.md#digest-parity-across-revisions):
+# builds <base-rev> and the working tree, both in Release, runs the same
+# deterministic outputs on each, and exits 1 on any difference. The outputs:
+#   - fleet_study checkpoint mode in the soak's plain, --chaos and
+#     --chaos --rollout modes at three seeds: its stdout (event_digest=,
+#     streamed_digest=, replayed_digest=) and every checkpoint file;
+#   - fleet_study --policy-rollout=demo --colocate (the colocated fast path);
+#   - examples/offload_whatif 10 (every tax profile over the catalog);
+#   - the stdout of fig11_taxratio and fig20_cycletax (FleetSampler pricing)
+#     and fig14_breakdown (DES pricing).
+# A change that keeps "every digest unchanged" runs it against its parent.
+#
+# Usage: tools/run_digest_parity.sh <base-rev>
+# Both builds and all outputs go in a temporary directory under TMPDIR
+# (default /tmp), removed on exit.
+set -euo pipefail
+
+if [[ $# -ne 1 ]]; then
+  echo "usage: $0 <base-rev>" >&2
+  exit 2
+fi
+
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+SEEDS="5 11 23"
+TARGETS=(fleet_study offload_whatif fig11_taxratio fig20_cycletax fig14_breakdown)
+
+if ! BASE_SHA="$(git -C "$ROOT" rev-parse --verify --quiet "$1^{commit}")"; then
+  echo "ERROR: '$1' is not a commit in $ROOT" >&2
+  exit 2
+fi
+
+WORK="$(cd "$(mktemp -d "${TMPDIR:-/tmp}/digest-parity.XXXXXX")" && pwd)"
+trap 'rm -rf "$WORK"' EXIT
+
+# The base tree is exported with git archive rather than checked out as a
+# worktree, so an interrupted run leaves nothing registered in the repo.
+mkdir "$WORK/base-src"
+git -C "$ROOT" archive "$BASE_SHA" | tar -x -C "$WORK/base-src"
+
+# build <source-dir> <build-dir>
+build() {
+  echo "building $1 (Release) ..."
+  if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release &&
+         cmake --build "$2" -j"$(nproc)" --target "${TARGETS[@]}"; } >"$2.log" 2>&1; then
+    tail -n 30 "$2.log" >&2
+    echo "ERROR: build of $1 failed" >&2
+    exit 1
+  fi
+}
+
+# run_outputs <build-dir> <out-dir>: every output lands under <out-dir> with
+# the same relative names, so one diff -r compares the two revisions. A
+# non-zero exit is recorded in the output rather than aborting the run.
+run_outputs() {
+  local bin="$1" out="$2"
+  mkdir -p "$out"
+  cd "$out"
+  for mode in plain chaos rollout; do
+    local flags=()
+    [[ "$mode" == "chaos" ]] && flags=(--chaos)
+    [[ "$mode" == "rollout" ]] && flags=(--chaos --rollout)
+    for seed in $SEEDS; do
+      local name="fleet-$mode-seed$seed"
+      "$bin/examples/fleet_study" --checkpoint-dir="$name.ckpt" --checkpoint-every=250 \
+        --duration-ms=2000 --workers=2 --seed="$seed" ${flags[@]+"${flags[@]}"} \
+        >"$name.txt" 2>&1 || echo "exit=$?" >>"$name.txt"
+    done
+  done
+  "$bin/examples/fleet_study" --policy-rollout=demo --colocate >policy_rollout_colocate.txt 2>&1 ||
+    echo "exit=$?" >>policy_rollout_colocate.txt
+  "$bin/examples/offload_whatif" 10 >offload_whatif.txt 2>&1 || echo "exit=$?" >>offload_whatif.txt
+  for fig in fig11_taxratio fig20_cycletax fig14_breakdown; do
+    "$bin/bench/$fig" >"$fig.txt" 2>&1 || echo "exit=$?" >>"$fig.txt"
+  done
+  cd - >/dev/null
+}
+
+# Prints "event_digest streamed_digest" from a fleet_study run's output.
+digests() {
+  awk -F= '/^event_digest=/ {e=$2} /^streamed_digest=/ {s=$2} END {print e, s}' "$1"
+}
+
+build "$WORK/base-src" "$WORK/base-build"
+build "$ROOT" "$WORK/head-build"
+echo "running outputs ..."
+run_outputs "$WORK/base-build" "$WORK/out-base"
+run_outputs "$WORK/head-build" "$WORK/out-head"
+
+echo "fleet_study digests, event streamed (base ${BASE_SHA:0:12} | working tree):"
+for f in "$WORK"/out-base/fleet-*.txt; do
+  name="$(basename "$f" .txt)"
+  printf '  %-24s %s | %s\n' "$name" "$(digests "$f")" "$(digests "$WORK/out-head/$name.txt")"
+done
+
+if diff -r "$WORK/out-base" "$WORK/out-head" >"$WORK/diff.txt"; then
+  echo "PASS: every output identical to ${BASE_SHA:0:12}"
+  exit 0
+fi
+head -n 60 "$WORK/diff.txt"
+echo "FAIL: outputs differ from ${BASE_SHA:0:12} (first 60 diff lines above)" >&2
+exit 1
