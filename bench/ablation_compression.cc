@@ -23,8 +23,7 @@ double TaxWith(const FleetContext& ctx, bool drop_compression, bool drop_rpclib,
     if (drop_rpclib) {
       rpc.cycles[CycleCategory::kRpcLibrary] = 0;
     }
-    profile.AddRpcSample(rpc.span.method_id, rpc.span.service_id, rpc.cycles,
-                         rpc.machine_speed, rpc.span.status);
+    profile.AddRpcSample(rpc.span.service_id, rpc.cycles, rpc.machine_speed);
   }
   if (fractions != nullptr) {
     *fractions = profile.TaxCategoryFractions();

@@ -1,6 +1,8 @@
 // Calibration self-check: recomputes every DESIGN.md §4 anchor against the
 // current model and reports pass / near / off verdicts. Run this after any
-// change to the catalogs, cost model, or sampler to see what drifted.
+// change to the catalogs, cost model, or sampler to see what drifted. Exits 1
+// when any anchor is off: outside its band ("OFF "), or not measurable because
+// its target or measurement is not positive ("off ").
 #include <cmath>
 
 #include "bench/bench_util.h"
@@ -100,7 +102,7 @@ int main(int argc, char** argv) {
   int off = 0;
   for (const Check& c : checks) {
     const char* verdict = Verdict(c);
-    if (verdict[0] == 'O') {
+    if (verdict[0] == 'O' || verdict[0] == 'o') {
       ++off;
     }
     t.AddRow({verdict, c.anchor, FormatDouble(c.target, 4), FormatDouble(c.measured, 4),
@@ -109,5 +111,6 @@ int main(int argc, char** argv) {
   report.tables.push_back(t);
   report.notes.push_back(off == 0 ? "all anchors within their bands"
                                   : std::to_string(off) + " anchor(s) OFF — see rows above");
-  return RunFigureMain(argc, argv, report);
+  const int rc = RunFigureMain(argc, argv, report);
+  return off > 0 ? 1 : rc;
 }

@@ -1,6 +1,7 @@
 // Fleet-wide analyses: Figs. 1-3, 6-8, 10-13, 20, 21, 23 and Table 1.
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/stats.h"
 #include "src/core/analyses.h"
@@ -13,19 +14,24 @@ namespace {
 
 std::string FmtUs(double us) { return FormatDuration(DurationFromMicros(us)); }
 
-// Quantile of the per-method quantiles: e.g. QQ(agg, 0.5, P99 of rct).
-double QQ(const MethodAggregator& agg, double method_q,
-          const std::function<double(const MethodAccum&)>& extract) {
-  const std::vector<double> values = agg.CollectSorted(100, extract);
-  return SortedQuantile(values, method_q);
+// Each eligible method's `q`-quantile of one of its histograms, sorted
+// ascending. A report builds each such vector once and reads every method
+// quantile from it: the median method's P99 RCT is SortedQuantile(p99, 0.5)
+// for p99 = MethodQuantiles(agg, &MethodAccum::rct, 0.99).
+std::vector<double> MethodQuantiles(const MethodAggregator& agg,
+                                    LogHistogram MethodAccum::*histogram, double q) {
+  return agg.CollectSorted(
+      100, [histogram, q](const MethodAccum& m) { return (m.*histogram).Quantile(q); });
 }
+
+// `part / whole`, or 0 when nothing was counted (an empty scan).
+double Share(double part, double whole) { return whole > 0 ? part / whole : 0; }
 
 }  // namespace
 
 void FleetScan::Add(const SampledRpc& rpc) {
   agg.Add(rpc.span);
-  profile.AddRpcSample(rpc.span.method_id, rpc.span.service_id, rpc.cycles, rpc.machine_speed,
-                       rpc.span.status);
+  profile.AddRpcSample(rpc.span.service_id, rpc.cycles, rpc.machine_speed);
   ++total_calls;
   if (rpc.span.status != StatusCode::kOk) {
     ++error_counts[rpc.span.status];
@@ -68,41 +74,47 @@ FigureReport AnalyzeLatency(const MethodAggregator& agg) {
   report.id = "fig02";
   report.title = "Per-method RPC completion time (Fig. 2)";
 
-  auto p = [](double q) {
-    return [q](const MethodAccum& m) { return m.rct.Quantile(q); };
-  };
+  const std::vector<double> p1 = MethodQuantiles(agg, &MethodAccum::rct, 0.01);
+  const std::vector<double> p50 = MethodQuantiles(agg, &MethodAccum::rct, 0.5);
+  const std::vector<double> p99 = MethodQuantiles(agg, &MethodAccum::rct, 0.99);
 
   ComparisonTable cmp;
-  cmp.Add("P1 latency, 90% of methods <=", "657us", FmtUs(QQ(agg, 0.90, p(0.01))));
-  cmp.Add("median latency, 90% of methods >=", "10.7ms", FmtUs(QQ(agg, 0.10, p(0.5))));
-  cmp.Add("P99 latency, 99.5% of methods >=", "1ms", FmtUs(QQ(agg, 0.005, p(0.99))));
-  cmp.Add("P99 latency, 50% of methods >=", "225ms", FmtUs(QQ(agg, 0.50, p(0.99))));
-  cmp.Add("slowest 5% of methods: P1 >=", "166ms", FmtUs(QQ(agg, 0.95, p(0.01))));
-  cmp.Add("slowest 5% of methods: P99 >=", "5s", FmtUs(QQ(agg, 0.95, p(0.99))));
+  cmp.Add("P1 latency, 90% of methods <=", "657us", FmtUs(SortedQuantile(p1, 0.90)));
+  cmp.Add("median latency, 90% of methods >=", "10.7ms", FmtUs(SortedQuantile(p50, 0.10)));
+  cmp.Add("P99 latency, 99.5% of methods >=", "1ms", FmtUs(SortedQuantile(p99, 0.005)));
+  cmp.Add("P99 latency, 50% of methods >=", "225ms", FmtUs(SortedQuantile(p99, 0.50)));
+  cmp.Add("slowest 5% of methods: P1 >=", "166ms", FmtUs(SortedQuantile(p1, 0.95)));
+  cmp.Add("slowest 5% of methods: P99 >=", "5s", FmtUs(SortedQuantile(p99, 0.95)));
   report.tables.push_back(cmp.Build());
 
   // Heatmap-style summary: method deciles (by median RCT) x latency quantiles.
-  // No rows when no method has the 100 samples a decile needs.
-  std::vector<const MethodAccum*> eligible = agg.Eligible(100);
-  std::sort(eligible.begin(), eligible.end(), [](const MethodAccum* a, const MethodAccum* b) {
-    return a->rct.Quantile(0.5) < b->rct.Quantile(0.5);
-  });
+  // No rows when no method has the 100 samples a decile needs. The sort keys
+  // are computed once; comparing only the key keeps std::sort's order of
+  // methods with equal medians.
+  std::vector<std::pair<double, const MethodAccum*>> eligible;
+  for (const MethodAccum* m : agg.Eligible(100)) {
+    eligible.emplace_back(m->rct.Quantile(0.5), m);
+  }
+  std::sort(eligible.begin(), eligible.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   TextTable heat({"method decile", "P1", "P10", "P50", "P90", "P99"});
   for (int d = 0; d < 10 && !eligible.empty(); ++d) {
     const size_t idx =
         std::min(eligible.size() - 1, (eligible.size() * (2 * static_cast<size_t>(d) + 1)) / 20);
-    const MethodAccum* m = eligible[idx];
+    const auto& [median, m] = eligible[idx];
     heat.AddRow({std::to_string(d * 10) + "-" + std::to_string(d * 10 + 10) + "%",
-                 FmtUs(m->rct.Quantile(0.01)), FmtUs(m->rct.Quantile(0.10)),
-                 FmtUs(m->rct.Quantile(0.5)), FmtUs(m->rct.Quantile(0.90)),
-                 FmtUs(m->rct.Quantile(0.99))});
+                 FmtUs(m->rct.Quantile(0.01)), FmtUs(m->rct.Quantile(0.10)), FmtUs(median),
+                 FmtUs(m->rct.Quantile(0.90)), FmtUs(m->rct.Quantile(0.99))});
   }
   report.tables.push_back(heat);
   report.notes.push_back("Hyperscale RPCs operate at millisecond, not microsecond timescales; "
                          "tails reach seconds.");
-  // Fig. 2b analogue: CDF of per-method P99 latency in milliseconds.
-  const std::vector<double> p99s_ms = agg.CollectSorted(
-      100, [](const MethodAccum& m) { return m.rct.Quantile(0.99) / 1000.0; });
+  // Fig. 2b analogue: CDF of per-method P99 latency in milliseconds. Dividing
+  // by a positive constant keeps the vector sorted.
+  std::vector<double> p99s_ms = p99;
+  for (double& v : p99s_ms) {
+    v /= 1000.0;
+  }
   report.notes.push_back("CDF of per-method P99 completion time (ms):\n" +
                          RenderAsciiCdf(p99s_ms, 60, 10, "ms"));
   return report;
@@ -145,17 +157,18 @@ FigureReport AnalyzePopularity(const MethodAggregator& agg, const MethodCatalog&
   }
   const double write_share =
       catalog.network_disk_write_id() >= 0
-          ? counts[static_cast<size_t>(catalog.network_disk_write_id())] / total
+          ? Share(counts[static_cast<size_t>(catalog.network_disk_write_id())], total)
           : 0;
 
   ComparisonTable cmp;
   cmp.Add("Network Disk Write share of all calls", "28%", FormatPercent(write_share));
-  cmp.Add("100 lowest-latency methods share", "40%", FormatPercent(fastest100 / total));
-  cmp.Add("top-10 most popular methods share", "58%", FormatPercent(top10 / total));
-  cmp.Add("top-100 most popular methods share", "91%", FormatPercent(top100 / total));
-  cmp.Add("slowest 1000 methods: share of calls", "1.1%", FormatPercent(slowest1000 / total));
+  cmp.Add("100 lowest-latency methods share", "40%", FormatPercent(Share(fastest100, total)));
+  cmp.Add("top-10 most popular methods share", "58%", FormatPercent(Share(top10, total)));
+  cmp.Add("top-100 most popular methods share", "91%", FormatPercent(Share(top100, total)));
+  cmp.Add("slowest 1000 methods: share of calls", "1.1%",
+          FormatPercent(Share(slowest1000, total)));
   cmp.Add("slowest 1000 methods: share of total RPC time", "89%",
-          FormatPercent(total_time > 0 ? slowest1000_time / total_time : 0));
+          FormatPercent(Share(slowest1000_time, total_time)));
   report.tables.push_back(cmp.Build());
   report.notes.push_back("Popularity is extremely skewed and concentrated on low-latency "
                          "methods; the slow tail dominates total RPC time.");
@@ -166,21 +179,19 @@ FigureReport AnalyzeSizes(const MethodAggregator& agg) {
   FigureReport report;
   report.id = "fig06";
   report.title = "Per-method request size (Fig. 6)";
-  auto req = [](double q) {
-    return [q](const MethodAccum& m) { return m.req_size.Quantile(q); };
-  };
-  auto resp = [](double q) {
-    return [q](const MethodAccum& m) { return m.resp_size.Quantile(q); };
-  };
+  const std::vector<double> req_mins =
+      agg.CollectSorted(100, [](const MethodAccum& m) { return m.req_size.min(); });
+  const std::vector<double> req = MethodQuantiles(agg, &MethodAccum::req_size, 0.5);
+  const std::vector<double> resp = MethodQuantiles(agg, &MethodAccum::resp_size, 0.5);
   ComparisonTable cmp;
   cmp.Add("smallest request observed", "64B (one cache line)",
-          FormatBytes(QQ(agg, 0.0, [](const MethodAccum& m) { return m.req_size.min(); })));
-  cmp.Add("median-method median request", "1530B", FormatBytes(QQ(agg, 0.5, req(0.5))));
-  cmp.Add("median-method median response", "315B", FormatBytes(QQ(agg, 0.5, resp(0.5))));
-  cmp.Add("P90-method median request", "11.8KB", FormatBytes(QQ(agg, 0.9, req(0.5))));
-  cmp.Add("P90-method median response", "10KB", FormatBytes(QQ(agg, 0.9, resp(0.5))));
-  cmp.Add("P99-method median request", "196KB", FormatBytes(QQ(agg, 0.99, req(0.5))));
-  cmp.Add("P99-method median response", "563KB", FormatBytes(QQ(agg, 0.99, resp(0.5))));
+          FormatBytes(SortedQuantile(req_mins, 0.0)));
+  cmp.Add("median-method median request", "1530B", FormatBytes(SortedQuantile(req, 0.5)));
+  cmp.Add("median-method median response", "315B", FormatBytes(SortedQuantile(resp, 0.5)));
+  cmp.Add("P90-method median request", "11.8KB", FormatBytes(SortedQuantile(req, 0.9)));
+  cmp.Add("P90-method median response", "10KB", FormatBytes(SortedQuantile(resp, 0.9)));
+  cmp.Add("P99-method median request", "196KB", FormatBytes(SortedQuantile(req, 0.99)));
+  cmp.Add("P99-method median response", "563KB", FormatBytes(SortedQuantile(resp, 0.99)));
   report.tables.push_back(cmp.Build());
   report.notes.push_back("Most RPCs are small (KB-scale) but the size tail spans orders of "
                          "magnitude; single-MTU offloads would miss the tail.");
@@ -191,8 +202,7 @@ FigureReport AnalyzeSizeRatio(const MethodAggregator& agg) {
   FigureReport report;
   report.id = "fig07";
   report.title = "Per-method response/request size ratio (Fig. 7)";
-  const std::vector<double> median_ratios = agg.CollectSorted(
-      100, [](const MethodAccum& m) { return m.size_ratio.Quantile(0.5); });
+  const std::vector<double> median_ratios = MethodQuantiles(agg, &MethodAccum::size_ratio, 0.5);
   double below_one = 0;
   for (double r : median_ratios) {
     if (r < 1.0) {
@@ -249,10 +259,9 @@ FigureReport AnalyzeServiceMix(const MethodAggregator& agg, const ProfileCollect
     const size_t s = static_cast<size_t>(id);
     const auto it = profile.per_service_cycles().find(id);
     const double cyc = it == profile.per_service_cycles().end() ? 0 : it->second;
-    mix.AddRow({services.service(id).name,
-                FormatPercent(total_calls > 0 ? calls[s] / total_calls : 0),
-                FormatPercent(total_bytes > 0 ? bytes[s] / total_bytes : 0),
-                FormatPercent(total_cycles > 0 ? cyc / total_cycles : 0, 2)});
+    mix.AddRow({services.service(id).name, FormatPercent(Share(calls[s], total_calls)),
+                FormatPercent(Share(bytes[s], total_bytes)),
+                FormatPercent(Share(cyc, total_cycles), 2)});
   }
   report.tables.push_back(mix);
 
@@ -261,25 +270,22 @@ FigureReport AnalyzeServiceMix(const MethodAggregator& agg, const ProfileCollect
   const int32_t f1 = services.studied().f1;
   auto cycles_share = [&](int32_t id) {
     const auto it = profile.per_service_cycles().find(id);
-    return total_cycles > 0 && it != profile.per_service_cycles().end()
-               ? it->second / total_cycles
-               : 0.0;
+    return it == profile.per_service_cycles().end() ? 0.0 : Share(it->second, total_cycles);
   };
   double top8 = 0;
   for (int32_t id : services.TopByCallShare(8)) {
     top8 += calls[static_cast<size_t>(id)];
   }
   ComparisonTable cmp;
-  cmp.Add("top-8 services' share of calls", "60%",
-          FormatPercent(total_calls > 0 ? top8 / total_calls : 0));
+  cmp.Add("top-8 services' share of calls", "60%", FormatPercent(Share(top8, total_calls)));
   cmp.Add("Network Disk share of calls", "35%",
-          FormatPercent(calls[static_cast<size_t>(nd)] / total_calls));
+          FormatPercent(Share(calls[static_cast<size_t>(nd)], total_calls)));
   cmp.Add("Network Disk share of cycles", "<2%", FormatPercent(cycles_share(nd), 2));
   cmp.Add("ML Inference calls vs cycles", "0.17% / 0.89%",
-          FormatPercent(calls[static_cast<size_t>(ml)] / total_calls, 2) + " / " +
+          FormatPercent(Share(calls[static_cast<size_t>(ml)], total_calls), 2) + " / " +
               FormatPercent(cycles_share(ml), 2));
   cmp.Add("F1 calls vs cycles", "1.8% / 1.8%",
-          FormatPercent(calls[static_cast<size_t>(f1)] / total_calls, 2) + " / " +
+          FormatPercent(Share(calls[static_cast<size_t>(f1)], total_calls), 2) + " / " +
               FormatPercent(cycles_share(f1), 2));
   report.tables.push_back(cmp.Build());
   report.notes.push_back("Storage dominates invocations and bytes; compute-heavy services "
@@ -386,18 +392,18 @@ FigureReport AnalyzeTaxRatio(const MethodAggregator& agg) {
   FigureReport report;
   report.id = "fig11";
   report.title = "Per-method tax ratio: RPC Latency Tax / RCT (Fig. 11)";
-  auto ratio = [](double q) {
-    return [q](const MethodAccum& m) { return m.tax_ratio.Quantile(q); };
-  };
+  const std::vector<double> p50 = MethodQuantiles(agg, &MethodAccum::tax_ratio, 0.5);
+  const std::vector<double> p90 = MethodQuantiles(agg, &MethodAccum::tax_ratio, 0.9);
+  const std::vector<double> p99 = MethodQuantiles(agg, &MethodAccum::tax_ratio, 0.99);
   ComparisonTable cmp;
-  cmp.Add("median-method median tax ratio", "8.6%", FormatPercent(QQ(agg, 0.5, ratio(0.5))));
-  cmp.Add("top-decile methods: median tax ratio", "38%", FormatPercent(QQ(agg, 0.9, ratio(0.5))));
-  cmp.Add("top-decile methods: P90 tax ratio", "96%", FormatPercent(QQ(agg, 0.9, ratio(0.9))));
-  cmp.Add("P99 tax ratio, median method", "66%", FormatPercent(QQ(agg, 0.5, ratio(0.99))));
+  cmp.Add("median-method median tax ratio", "8.6%", FormatPercent(SortedQuantile(p50, 0.5)));
+  cmp.Add("top-decile methods: median tax ratio", "38%", FormatPercent(SortedQuantile(p50, 0.9)));
+  cmp.Add("top-decile methods: P90 tax ratio", "96%", FormatPercent(SortedQuantile(p90, 0.9)));
+  cmp.Add("P99 tax ratio, median method", "66%", FormatPercent(SortedQuantile(p99, 0.5)));
   cmp.Add("P99 tax ratio, bottom 1% of methods", "0.5%",
-          FormatPercent(QQ(agg, 0.01, ratio(0.99)), 2));
+          FormatPercent(SortedQuantile(p99, 0.01), 2));
   cmp.Add("P99 tax ratio, top 1% of methods", "99.99%",
-          FormatPercent(QQ(agg, 0.99, ratio(0.99)), 2));
+          FormatPercent(SortedQuantile(p99, 0.99), 2));
   report.tables.push_back(cmp.Build());
   report.notes.push_back("Most RPCs are bottlenecked by application time, but at the tail many "
                          "methods' latency is almost entirely RPC tax.");
@@ -408,16 +414,14 @@ FigureReport AnalyzeWireStack(const MethodAggregator& agg) {
   FigureReport report;
   report.id = "fig12";
   report.title = "Per-method network wire + proc/stack latency (Fig. 12)";
-  auto ws = [](double q) {
-    return [q](const MethodAccum& m) { return m.wire_stack.Quantile(q); };
-  };
+  const std::vector<double> p99 = MethodQuantiles(agg, &MethodAccum::wire_stack, 0.99);
   ComparisonTable cmp;
-  cmp.Add("fastest 1% of methods: P99", "6ms", FmtUs(QQ(agg, 0.01, ws(0.99))));
-  cmp.Add("fastest 10% of methods: P99", "19ms", FmtUs(QQ(agg, 0.10, ws(0.99))));
-  cmp.Add("fastest 50% of methods: P99 <=", "115ms", FmtUs(QQ(agg, 0.50, ws(0.99))));
-  cmp.Add("slowest 10% of methods: P99 >=", "271ms", FmtUs(QQ(agg, 0.90, ws(0.99))));
+  cmp.Add("fastest 1% of methods: P99", "6ms", FmtUs(SortedQuantile(p99, 0.01)));
+  cmp.Add("fastest 10% of methods: P99", "19ms", FmtUs(SortedQuantile(p99, 0.10)));
+  cmp.Add("fastest 50% of methods: P99 <=", "115ms", FmtUs(SortedQuantile(p99, 0.50)));
+  cmp.Add("slowest 10% of methods: P99 >=", "271ms", FmtUs(SortedQuantile(p99, 0.90)));
   cmp.Add("slowest 1% of methods: P99 >=", "826ms (> 200ms max WAN RTT)",
-          FmtUs(QQ(agg, 0.99, ws(0.99))));
+          FmtUs(SortedQuantile(p99, 0.99)));
   report.tables.push_back(cmp.Build());
   report.notes.push_back("Tail network latencies exceed the longest WAN propagation delay: "
                          "congestion still impacts the WAN.");
@@ -428,14 +432,13 @@ FigureReport AnalyzeQueueing(const MethodAggregator& agg) {
   FigureReport report;
   report.id = "fig13";
   report.title = "Per-method queueing latency (Fig. 13)";
-  auto qx = [](double q) {
-    return [q](const MethodAccum& m) { return m.queue.Quantile(q); };
-  };
+  const std::vector<double> p50 = MethodQuantiles(agg, &MethodAccum::queue, 0.5);
+  const std::vector<double> p99 = MethodQuantiles(agg, &MethodAccum::queue, 0.99);
   ComparisonTable cmp;
-  cmp.Add("median-method median queueing <=", "360us", FmtUs(QQ(agg, 0.5, qx(0.5))));
-  cmp.Add("median-method P99 queueing <=", "102ms", FmtUs(QQ(agg, 0.5, qx(0.99))));
-  cmp.Add("worst-decile methods: median queueing", "1.1ms", FmtUs(QQ(agg, 0.9, qx(0.5))));
-  cmp.Add("worst-decile methods: P99 queueing", "611ms", FmtUs(QQ(agg, 0.9, qx(0.99))));
+  cmp.Add("median-method median queueing <=", "360us", FmtUs(SortedQuantile(p50, 0.5)));
+  cmp.Add("median-method P99 queueing <=", "102ms", FmtUs(SortedQuantile(p99, 0.5)));
+  cmp.Add("worst-decile methods: median queueing", "1.1ms", FmtUs(SortedQuantile(p50, 0.9)));
+  cmp.Add("worst-decile methods: P99 queueing", "611ms", FmtUs(SortedQuantile(p99, 0.9)));
   report.tables.push_back(cmp.Build());
   report.notes.push_back("Tail queueing is orders of magnitude above the median: better "
                          "scheduling/load-balancing can cut tail latency.");
@@ -479,23 +482,20 @@ FigureReport AnalyzeMethodCycles(const MethodAggregator& agg) {
   FigureReport report;
   report.id = "fig21";
   report.title = "Per-method normalized CPU cycles (Fig. 21)";
-  auto cy = [](double q) {
-    return [q](const MethodAccum& m) { return m.cycles.Quantile(q); };
-  };
-  const std::vector<double> p50s =
-      agg.CollectSorted(100, [](const MethodAccum& m) { return m.cycles.Quantile(0.5); });
+  const std::vector<double> p10 = MethodQuantiles(agg, &MethodAccum::cycles, 0.10);
+  const std::vector<double> p90 = MethodQuantiles(agg, &MethodAccum::cycles, 0.90);
   const std::vector<double> p99_over_p50 = agg.CollectSorted(100, [](const MethodAccum& m) {
     const double p50 = m.cycles.Quantile(0.5);
     return p50 > 0 ? m.cycles.Quantile(0.99) / p50 : 0;
   });
   ComparisonTable cmp;
   cmp.Add("cheapest 10% of calls, cheapest 10% of methods", "0.017",
-          FormatDouble(QQ(agg, 0.10, cy(0.10)), 3));
+          FormatDouble(SortedQuantile(p10, 0.10), 3));
   cmp.Add("cheapest 10% of calls, 90th pct of methods", "0.02",
-          FormatDouble(QQ(agg, 0.90, cy(0.10)), 3));
+          FormatDouble(SortedQuantile(p10, 0.90), 3));
   cmp.Add("most-expensive 10% of calls, method spread", "0.02-0.16+",
-          FormatDouble(QQ(agg, 0.10, cy(0.90)), 3) + " - " +
-              FormatDouble(QQ(agg, 0.90, cy(0.90)), 3));
+          FormatDouble(SortedQuantile(p90, 0.10), 3) + " - " +
+              FormatDouble(SortedQuantile(p90, 0.90), 3));
   cmp.Add("median-method P99/median cycle ratio", "10-100x",
           FormatDouble(SortedQuantile(p99_over_p50, 0.5), 1) + "x");
   report.tables.push_back(cmp.Build());

@@ -85,6 +85,25 @@ FleetSampler::FleetSampler(const ServiceCatalog* services, const MethodCatalog* 
       }
     }
   }
+  terms_.reserve(static_cast<size_t>(methods_->size()));
+  for (const MethodModel& m : methods_->methods()) {
+    MethodTerms& t = terms_.emplace_back();
+    t.log_req_median = std::log(m.req_median_bytes);
+    t.log_resp_median = std::log(m.resp_median_bytes);
+    t.log_fast_median = std::log(m.fast_median_us);
+    t.log_app_median = std::log(m.app_median_us);
+    t.log_queue_median = std::log(m.queue_median_us);
+    t.log_queue_tail_median = std::log(m.queue_median_us * m.queue_tail_ratio);
+    t.log_cpu_median = std::log(m.cpu_median_cycles);
+    double acc = 0;
+    for (size_t k = 0; k < 5; ++k) {
+      acc += m.locality[k];
+      t.locality_cdf[k] = acc;
+    }
+    // Conditioning on locality preserves the method's marginal fast-path rate.
+    t.local_fast_prob = std::min(1.0, m.fast_weight / std::max(m.locality[0], 1e-3));
+    t.compression_ratio = AssumedCompressionRatio(m);
+  }
 }
 
 ClusterId FleetSampler::PickServerCluster(ClusterId client, DistanceClass dc) {
@@ -108,6 +127,7 @@ SampledRpc FleetSampler::Sample() { return SampleMethod(methods_->SampleMethod(r
 
 SampledRpc FleetSampler::SampleMethod(int32_t method_id) {
   const MethodModel& m = methods_->method(method_id);
+  const MethodTerms& t = terms_[static_cast<size_t>(method_id)];
   SampledRpc out;
   Span& span = out.span;
   span.trace_id = Mix64(next_trace_++) | 1;
@@ -124,28 +144,21 @@ SampledRpc FleetSampler::SampleMethod(int32_t method_id) {
 
   // --- Sizes (serialized payload bytes) and wire bytes.
   const double size_scale = cheap_call ? 0.1 : 1.0;
-  const double req_bytes = std::max(
-      64.0, size_scale * rng_.NextLognormal(std::log(m.req_median_bytes), m.req_sigma));
-  const double resp_bytes = std::max(
-      64.0, size_scale * rng_.NextLognormal(std::log(m.resp_median_bytes), m.resp_sigma));
-  const double ratio = AssumedCompressionRatio(m);
-  const int64_t req_wire = static_cast<int64_t>(req_bytes * ratio) + 24;
-  const int64_t resp_wire = static_cast<int64_t>(resp_bytes * ratio) + 24;
+  const double req_bytes =
+      std::max(64.0, size_scale * rng_.NextLognormal(t.log_req_median, m.req_sigma));
+  const double resp_bytes =
+      std::max(64.0, size_scale * rng_.NextLognormal(t.log_resp_median, m.resp_sigma));
+  const int64_t req_wire = static_cast<int64_t>(req_bytes * t.compression_ratio) + 24;
+  const int64_t resp_wire = static_cast<int64_t>(resp_bytes * t.compression_ratio) + 24;
   span.request_payload_bytes = static_cast<int64_t>(req_bytes);
   span.response_payload_bytes = static_cast<int64_t>(resp_bytes);
   span.request_wire_bytes = req_wire;
   span.response_wire_bytes = resp_wire;
 
   // --- Machines: client/server clusters by the method's locality mix.
-  std::array<double, 5> cum{};
-  double acc = 0;
-  for (size_t k = 0; k < 5; ++k) {
-    acc += m.locality[k];
-    cum[k] = acc;
-  }
-  const double loc_draw = rng_.NextDouble() * acc;
+  const double loc_draw = rng_.NextDouble() * t.locality_cdf[4];
   size_t class_idx = 0;
-  while (class_idx < 4 && loc_draw > cum[class_idx]) {
+  while (class_idx < 4 && loc_draw > t.locality_cdf[class_idx]) {
     ++class_idx;
   }
   const ClusterId client_cluster =
@@ -167,15 +180,12 @@ SampledRpc FleetSampler::SampleMethod(int32_t method_id) {
   // latencies (Fig. 2) without touching their medians.
   double app_us;
   double queue_scale = 1.0;
-  const bool local_call = class_idx == 0;
-  // Conditioning on locality preserves the method's marginal fast-path rate.
-  const double fast_prob =
-      local_call ? std::min(1.0, m.fast_weight / std::max(m.locality[0], 1e-3)) : 0.0;
+  const double fast_prob = class_idx == 0 ? t.local_fast_prob : 0.0;
   if (fast_prob > 0 && rng_.NextBool(fast_prob)) {
-    app_us = rng_.NextLognormal(std::log(m.fast_median_us), m.fast_sigma);
+    app_us = rng_.NextLognormal(t.log_fast_median, m.fast_sigma);
     queue_scale = 0.15;
   } else {
-    app_us = rng_.NextLognormal(std::log(m.app_median_us), m.app_sigma);
+    app_us = rng_.NextLognormal(t.log_app_median, m.app_sigma);
   }
   span.latency[RpcComponent::kServerApp] = DurationFromMicros(app_us);
 
@@ -183,10 +193,9 @@ SampledRpc FleetSampler::SampleMethod(int32_t method_id) {
   // MethodModel field comments for why this mixture shape is required).
   double queue_us;
   if (rng_.NextBool(m.queue_tail_prob)) {
-    queue_us = rng_.NextLognormal(std::log(m.queue_median_us * m.queue_tail_ratio),
-                                  m.queue_tail_sigma);
+    queue_us = rng_.NextLognormal(t.log_queue_tail_median, m.queue_tail_sigma);
   } else {
-    queue_us = rng_.NextLognormal(std::log(m.queue_median_us), m.queue_body_sigma);
+    queue_us = rng_.NextLognormal(t.log_queue_median, m.queue_body_sigma);
   }
   queue_us *= queue_scale;
   span.latency[RpcComponent::kClientSendQueue] = DurationFromMicros(queue_us * m.queue_split[0]);
@@ -258,7 +267,7 @@ SampledRpc FleetSampler::SampleMethod(int32_t method_id) {
   } else {
     // Clamped at ~0.7s of CPU: no single RPC burns more (OS/deadline limits).
     out.cycles[CycleCategory::kApplication] +=
-        std::min(2e9, rng_.NextLognormal(std::log(m.cpu_median_cycles), m.cpu_sigma));
+        std::min(2e9, rng_.NextLognormal(t.log_cpu_median, m.cpu_sigma));
   }
 
   // --- Status (Fig. 23): errors scale the cycles they waste.

@@ -9,6 +9,7 @@
 #ifndef RPCSCOPE_SRC_FLEET_FLEET_SAMPLER_H_
 #define RPCSCOPE_SRC_FLEET_FLEET_SAMPLER_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -41,6 +42,9 @@ struct FleetSamplerOptions {
 
 class FleetSampler {
  public:
+  // The catalogs, topology and cost model must outlive the sampler. The
+  // method catalog is read once here for its per-method terms, so it must not
+  // change while the sampler is in use.
   FleetSampler(const ServiceCatalog* services, const MethodCatalog* methods,
                const Topology* topology, const CycleCostModel* costs,
                const FleetSamplerOptions& options);
@@ -60,6 +64,24 @@ class FleetSampler {
   Rng& rng() { return rng_; }
 
  private:
+  // The draw-independent terms of one method's model, evaluated once by the
+  // constructor. Each uses the exact expression (operands and order) a draw
+  // would evaluate, so every sampled value keeps its bits.
+  struct MethodTerms {
+    // std::log of the model's lognormal medians; the queue tail's median is
+    // queue_median_us * queue_tail_ratio.
+    double log_req_median = 0;
+    double log_resp_median = 0;
+    double log_fast_median = 0;
+    double log_app_median = 0;
+    double log_queue_median = 0;
+    double log_queue_tail_median = 0;
+    double log_cpu_median = 0;
+    std::array<double, 5> locality_cdf{};  // Running sums of `locality`.
+    double local_fast_prob = 0;            // Fast-path probability of a same-cluster call.
+    double compression_ratio = 1.0;        // AssumedCompressionRatio().
+  };
+
   // Picks a server cluster at the drawn distance class from the client.
   ClusterId PickServerCluster(ClusterId client, DistanceClass dc);
 
@@ -72,6 +94,8 @@ class FleetSampler {
   uint64_t next_trace_ = 1;
   // clusters_by_class_[client][class] -> candidate server clusters.
   std::vector<std::array<std::vector<ClusterId>, 5>> clusters_by_class_;
+  // terms_[method_id] -> that method's draw-independent terms.
+  std::vector<MethodTerms> terms_;
 };
 
 // Error taxonomy mix (Fig. 23): relative frequency of each error type among

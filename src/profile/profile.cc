@@ -2,25 +2,10 @@
 
 namespace rpcscope {
 
-namespace {
-
-// Histogram layout for normalized per-call cycles: most methods fall between
-// 1e-4 and 1e3 normalized units.
-LogHistogram::Options CycleHistogramOptions() {
-  LogHistogram::Options options;
-  options.min_value = 1e-6;
-  options.max_value = 1e6;
-  options.buckets_per_decade = 20;
-  return options;
-}
-
-}  // namespace
-
 ProfileCollector::ProfileCollector() = default;
 
-void ProfileCollector::AddRpcSample(int32_t method_id, int32_t service_id,
-                                    const CycleBreakdown& cycles, double machine_speed,
-                                    StatusCode status) {
+void ProfileCollector::AddRpcSample(int32_t service_id, const CycleBreakdown& cycles,
+                                    double machine_speed) {
   const double norm = machine_speed > 0 ? 1.0 / machine_speed : 1.0;
   double call_total = 0;
   for (int i = 0; i < kNumTaxCategories; ++i) {
@@ -28,24 +13,13 @@ void ProfileCollector::AddRpcSample(int32_t method_id, int32_t service_id,
     tax_cycles_[static_cast<size_t>(i)] += c;
     call_total += c;
   }
-  const double app = cycles[CycleCategory::kApplication] * norm;
-  app_cycles_ += app;
-  call_total += app;
+  call_total += cycles[CycleCategory::kApplication] * norm;
   total_cycles_ += call_total;
 
-  if (method_id >= 0) {
-    auto [it, inserted] = per_method_cycles_.try_emplace(method_id, CycleHistogramOptions());
-    it->second.Add(call_total / normalization_cycles_);
-  }
   if (service_id >= 0) {
     per_service_cycles_[service_id] += call_total;
   }
-  if (status != StatusCode::kOk) {
-    wasted_cycles_by_error_[status] += call_total;
-  }
 }
-
-void ProfileCollector::AddBackgroundCycles(double cycles) { total_cycles_ += cycles; }
 
 double ProfileCollector::total_rpc_tax_cycles() const {
   double total = 0;

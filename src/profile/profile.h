@@ -2,21 +2,18 @@
 //
 // Collects sampled cycle attributions — per RPC, split into the tax
 // categories of Fig. 20b plus application cycles — and answers the queries
-// behind Figs. 8c, 20, 21, and 23: fleet-wide category fractions, per-method
-// normalized-cycle distributions, per-service cycle shares, and wasted cycles
-// by error type. Raw cycles are normalized by the sampled machine's relative
-// speed, mirroring the paper's "normalized CPU cycles" unit across
-// heterogeneous CPU generations.
+// behind Figs. 8c and 20: fleet-wide category fractions and per-service cycle
+// shares. Raw cycles are normalized by the sampled machine's relative speed,
+// mirroring the paper's "normalized CPU cycles" unit across heterogeneous CPU
+// generations. Fig. 21's per-method cycles come from MethodAggregator and
+// Fig. 23's wasted cycles from FleetScan (src/core/analyses.h).
 #ifndef RPCSCOPE_SRC_PROFILE_PROFILE_H_
 #define RPCSCOPE_SRC_PROFILE_PROFILE_H_
 
 #include <array>
 #include <cstdint>
 #include <map>
-#include <vector>
 
-#include "src/common/histogram.h"
-#include "src/common/status.h"
 #include "src/rpc/cost_model.h"
 
 namespace rpcscope {
@@ -27,14 +24,8 @@ class ProfileCollector {
 
   // Records one RPC's cycle breakdown. `machine_speed` is the relative speed
   // of the CPU the cycles ran on (cycles are divided by it to normalize).
-  // `method_id`/`service_id` may be -1 when unknown. `status` routes wasted
-  // cycles of failed RPCs to the error accounting.
-  void AddRpcSample(int32_t method_id, int32_t service_id, const CycleBreakdown& cycles,
-                    double machine_speed, StatusCode status);
-
-  // Records non-RPC application cycles (the rest of the fleet's work), which
-  // form the denominator of "fraction of all fleet cycles".
-  void AddBackgroundCycles(double cycles);
+  // `service_id` may be -1 when unknown.
+  void AddRpcSample(int32_t service_id, const CycleBreakdown& cycles, double machine_speed);
 
   double total_cycles() const { return total_cycles_; }
   double total_rpc_tax_cycles() const;
@@ -45,36 +36,18 @@ class ProfileCollector {
   // Fraction of all cycles that is RPC tax (Fig. 20a; paper: 7.1%).
   double TaxFraction() const;
 
-  // Per-method distribution of normalized cycles per call (Fig. 21).
-  const std::map<int32_t, LogHistogram>& per_method_cycles() const {
-    return per_method_cycles_;
-  }
-
   // Total cycles (tax + app) attributed to each service (Fig. 8c).
   const std::map<int32_t, double>& per_service_cycles() const {
     return per_service_cycles_;
   }
 
-  // Cycles consumed by RPCs that ended with each non-OK status (Fig. 23).
-  const std::map<StatusCode, double>& wasted_cycles_by_error() const {
-    return wasted_cycles_by_error_;
-  }
-
-  // Normalization divisor applied to per-call cycles in per_method_cycles().
-  double normalization_cycles() const { return normalization_cycles_; }
-  void set_normalization_cycles(double n) { normalization_cycles_ = n; }
-
  private:
-  double total_cycles_ = 0;  // Tax + application + background.
+  double total_cycles_ = 0;  // Tax + application.
   std::array<double, kNumTaxCategories> tax_cycles_{};
-  double app_cycles_ = 0;
-  double normalization_cycles_ = 1.0e6;
-  // Ordered maps: consumers iterate these (summing double cycle shares,
-  // rendering report tables), and FP summation order must not depend on a
-  // hash function for the report bytes to be replay-stable.
-  std::map<int32_t, LogHistogram> per_method_cycles_;
+  // Ordered map: consumers iterate it (summing double cycle shares, rendering
+  // report tables), and FP summation order must not depend on a hash function
+  // for the report bytes to be replay-stable.
   std::map<int32_t, double> per_service_cycles_;
-  std::map<StatusCode, double> wasted_cycles_by_error_;
 };
 
 }  // namespace rpcscope

@@ -74,6 +74,30 @@ TEST_F(AnalysesTest, LatencyHeatmapNeedsAHundredSamplesPerMethod) {
   EXPECT_NE(report.Render().find("P99 latency, 50% of methods"), std::string::npos);
 }
 
+TEST_F(AnalysesTest, EmptyScanRendersNoNanCells) {
+  // Every share in the scan-fed reports guards its zero denominator, so a
+  // scan with no calls renders no NaN cell. The match includes the percent
+  // sign because fig07's note contains the word "dominant".
+  const FleetScan empty(methods_->size());
+  const std::vector<FigureReport> reports = {
+      AnalyzeLatency(empty.agg),
+      AnalyzePopularity(empty.agg, *methods_),
+      AnalyzeSizes(empty.agg),
+      AnalyzeSizeRatio(empty.agg),
+      AnalyzeServiceMix(empty.agg, empty.profile, *services_),
+      AnalyzeTaxRatio(empty.agg),
+      AnalyzeWireStack(empty.agg),
+      AnalyzeQueueing(empty.agg),
+      AnalyzeCycleTax(empty.profile),
+      AnalyzeMethodCycles(empty.agg),
+      AnalyzeErrors(empty.error_counts, empty.error_cycles, empty.total_calls),
+  };
+  for (const FigureReport& report : reports) {
+    const std::string out = report.Render();
+    EXPECT_EQ(out.find("nan%"), std::string::npos) << report.id << ":\n" << out;
+  }
+}
+
 TEST_F(AnalysesTest, CycleTaxInPaperBallpark) {
   // Tax share of all cycles should land near the paper's 7.1%.
   EXPECT_GT(scan_->profile.TaxFraction(), 0.03);

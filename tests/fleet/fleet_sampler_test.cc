@@ -62,6 +62,25 @@ TEST_F(FleetSamplerTest, SpansAreWellFormed) {
   }
 }
 
+TEST_F(FleetSamplerTest, EveryMethodOfTheCatalogSamplesWellFormed) {
+  // One draw per method of the default catalog reads every row of the
+  // sampler's per-method table.
+  FleetSampler sampler = MakeSampler();
+  ASSERT_EQ(catalog_->size(), 10000);
+  for (int32_t id = 0; id < catalog_->size(); ++id) {
+    const SampledRpc rpc = sampler.SampleMethod(id);
+    ASSERT_EQ(rpc.span.method_id, id);
+    for (SimDuration c : rpc.span.latency.components) {
+      ASSERT_GE(c, 0) << "method " << id;
+    }
+    const double cycles = rpc.cycles.Total();
+    ASSERT_TRUE(std::isfinite(cycles) && cycles > 0) << "method " << id << ": " << cycles;
+    const double normalized = rpc.span.normalized_cpu_cycles;
+    ASSERT_TRUE(std::isfinite(normalized) && normalized > 0)
+        << "method " << id << ": " << normalized;
+  }
+}
+
 TEST_F(FleetSamplerTest, MethodLatencyQuantilesMatchModel) {
   FleetSampler sampler = MakeSampler();
   // The median-rank method should produce a median RCT close to its model.

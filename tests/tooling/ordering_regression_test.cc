@@ -1,8 +1,8 @@
 // Ordering regression test for the determinism sweep shipped with
 // rpcscope_detan: the report-facing paths that used to iterate hash maps
-// (TraceForest's per-trace shapes, ProfileCollector's per-method/per-service/
-// per-error maps) now iterate ordered containers, so every digest of their
-// output must be bit-for-bit identical across worker-thread counts. Runs the
+// (TraceForest's per-trace shapes, ProfileCollector's per-service map) now
+// iterate ordered containers, so every digest of their output must be
+// bit-for-bit identical across worker-thread counts. Runs the
 // sharded mini-fleet under worker_threads 1/2/8 for three seeds and asserts
 // one combined FNV-1a digest over all of those surfaces.
 #include <gtest/gtest.h>
@@ -51,10 +51,10 @@ uint64_t ReportDigest(const MiniFleetResult& result) {
     digest.Mix(static_cast<uint64_t>(shape.max_width));
   }
 
-  // Profile maps: feed a collector deterministically from the span stream
+  // Profile map: feed a collector deterministically from the span stream
   // (synthetic cycle splits derived from the latency breakdown), then fold
-  // the maps in their iteration order — key sequence and FP accumulation
-  // order both enter the digest.
+  // the map in its iteration order — key sequence and FP accumulation order
+  // both enter the digest.
   ProfileCollector profile;
   for (const Span& s : result.spans) {
     CycleBreakdown cycles;
@@ -62,20 +62,10 @@ uint64_t ReportDigest(const MiniFleetResult& result) {
       cycles.cycles[c] =
           static_cast<double>(s.latency.components[c % kNumRpcComponents]) * 1e-3;
     }
-    profile.AddRpcSample(s.method_id, s.service_id, cycles, 1.0, s.status);
-  }
-  for (const auto& [method_id, histogram] : profile.per_method_cycles()) {
-    digest.Mix(static_cast<uint64_t>(method_id));
-    for (int64_t bucket : histogram.bucket_counts()) {
-      digest.Mix(static_cast<uint64_t>(bucket));
-    }
+    profile.AddRpcSample(s.service_id, cycles, 1.0);
   }
   for (const auto& [service_id, cycles] : profile.per_service_cycles()) {
     digest.Mix(static_cast<uint64_t>(service_id));
-    digest.MixDouble(cycles);
-  }
-  for (const auto& [status, cycles] : profile.wasted_cycles_by_error()) {
-    digest.Mix(static_cast<uint64_t>(status));
     digest.MixDouble(cycles);
   }
   return digest.value;

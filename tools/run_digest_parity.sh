@@ -6,9 +6,12 @@
 #     --chaos --rollout modes at three seeds: its stdout (event_digest=,
 #     streamed_digest=, replayed_digest=) and every checkpoint file;
 #   - fleet_study --policy-rollout=demo --colocate (the colocated fast path);
+#   - fleet_study with no flags (its catalog-scan mode);
 #   - examples/offload_whatif 10 (every tax profile over the catalog);
-#   - the stdout of fig11_taxratio and fig20_cycletax (FleetSampler pricing)
-#     and fig14_breakdown (DES pricing).
+#   - the stdout of every scan-fed figure binary (fig02, fig03, fig06, fig07,
+#     fig08, fig11, fig12, fig13, fig20, fig21, fig23: FleetSampler draws,
+#     the scan and the analyzers), of calibration_report, and of
+#     fig14_breakdown (DES pricing).
 # A change that keeps "every digest unchanged" runs it against its parent.
 #
 # Usage: tools/run_digest_parity.sh <base-rev>
@@ -23,7 +26,10 @@ fi
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 SEEDS="5 11 23"
-TARGETS=(fleet_study offload_whatif fig11_taxratio fig20_cycletax fig14_breakdown)
+BENCH_BINS=(fig02_latency fig03_popularity fig06_sizes fig07_ratio fig08_services fig11_taxratio
+            fig12_network fig13_queuing fig20_cycletax fig21_cycles fig23_errors calibration_report
+            fig14_breakdown)
+TARGETS=(fleet_study offload_whatif "${BENCH_BINS[@]}")
 
 if ! BASE_SHA="$(git -C "$ROOT" rev-parse --verify --quiet "$1^{commit}")"; then
   echo "ERROR: '$1' is not a commit in $ROOT" >&2
@@ -69,8 +75,9 @@ run_outputs() {
   done
   "$bin/examples/fleet_study" --policy-rollout=demo --colocate >policy_rollout_colocate.txt 2>&1 ||
     echo "exit=$?" >>policy_rollout_colocate.txt
+  "$bin/examples/fleet_study" >fleet_scan.txt 2>&1 || echo "exit=$?" >>fleet_scan.txt
   "$bin/examples/offload_whatif" 10 >offload_whatif.txt 2>&1 || echo "exit=$?" >>offload_whatif.txt
-  for fig in fig11_taxratio fig20_cycletax fig14_breakdown; do
+  for fig in "${BENCH_BINS[@]}"; do
     "$bin/bench/$fig" >"$fig.txt" 2>&1 || echo "exit=$?" >>"$fig.txt"
   done
   cd - >/dev/null
