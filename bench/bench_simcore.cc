@@ -1,13 +1,13 @@
 // DES-core benchmarks: the numbers behind BENCH_simcore.json (docs/PERF.md).
 //
-// Three tiers of the same churn workload isolate the hot-path overhaul:
+// Two tiers of the same churn workload bracket the hot-path overhaul:
 //   Legacy  — replica of the seed core: std::function callbacks in a
 //             std::priority_queue binary heap (the pre-overhaul baseline,
 //             kept here because the production Simulator no longer has it).
-//   Heap    — SimCallback (inline/pooled captures) on BinaryHeapEventQueue.
-//   Ladder  — SimCallback on the ladder/calendar queue (production default).
-// Plus the mini-fleet end-to-end events/sec on both queue kinds, and frame
-// encode with reused WireScratch vs per-call allocation.
+//   Ladder  — the production Simulator: SimCallback (inline/pooled captures)
+//             on the ladder/calendar queue.
+// Plus the mini-fleet end-to-end events/sec, and frame encode with reused
+// WireScratch vs per-call allocation.
 //
 // Refresh the tracked baseline with: tools/run_bench_simcore.sh
 #include <benchmark/benchmark.h>
@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/digest.h"
 #include "src/fleet/mini_fleet.h"
 #include "src/fleet/service_catalog.h"
 #include "src/rpc/codec.h"
@@ -77,19 +78,10 @@ class LegacySimulator {
     }
   };
 
-  static uint64_t FnvMix(uint64_t digest, uint64_t word) {
-    constexpr uint64_t kPrime = 1099511628211ull;
-    for (int i = 0; i < 8; ++i) {
-      digest ^= (word >> (8 * i)) & 0xff;
-      digest *= kPrime;
-    }
-    return digest;
-  }
-
   std::priority_queue<LegacyEvent, std::vector<LegacyEvent>, ExecutesAfter> queue_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
-  uint64_t event_digest_ = 14695981039346656037ull;
+  uint64_t event_digest_ = kFnvOffsetBasis;
   SimTime last_time_ = 0;
   uint64_t last_seq_ = 0;
   bool any_executed_ = false;
@@ -157,20 +149,10 @@ void BM_SimChurn_Legacy(benchmark::State& state) {
 }
 BENCHMARK(BM_SimChurn_Legacy)->Arg(16)->Arg(1024)->Arg(8192);
 
-void BM_SimChurn_Heap(benchmark::State& state) {
-  uint64_t events = 0;
-  for (auto _ : state) {
-    Simulator sim(SimQueueKind::kBinaryHeap);
-    events += RunChurn(sim, static_cast<int>(state.range(0)));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-}
-BENCHMARK(BM_SimChurn_Heap)->Arg(16)->Arg(1024)->Arg(8192);
-
 void BM_SimChurn_Ladder(benchmark::State& state) {
   uint64_t events = 0;
   for (auto _ : state) {
-    Simulator sim(SimQueueKind::kLadder);
+    Simulator sim;
     events += RunChurn(sim, static_cast<int>(state.range(0)));
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
@@ -179,7 +161,7 @@ BENCHMARK(BM_SimChurn_Ladder)->Arg(16)->Arg(1024)->Arg(8192);
 
 // ---------------------------------------------------------------------------
 // Deep-backlog regime: all events scheduled up front, then drained. This is
-// where the binary heap's O(log n) per op hurts most and the ladder's
+// where the legacy binary heap's O(log n) per op hurts most and the ladder's
 // bucketing pays off.
 
 constexpr int kBacklog = 100000;
@@ -204,18 +186,9 @@ void BM_SimBacklog_Legacy(benchmark::State& state) {
 }
 BENCHMARK(BM_SimBacklog_Legacy);
 
-void BM_SimBacklog_Heap(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim(SimQueueKind::kBinaryHeap);
-    RunBacklog(sim);
-  }
-  state.SetItemsProcessed(state.iterations() * kBacklog);
-}
-BENCHMARK(BM_SimBacklog_Heap);
-
 void BM_SimBacklog_Ladder(benchmark::State& state) {
   for (auto _ : state) {
-    Simulator sim(SimQueueKind::kLadder);
+    Simulator sim;
     RunBacklog(sim);
   }
   state.SetItemsProcessed(state.iterations() * kBacklog);
@@ -223,15 +196,15 @@ void BM_SimBacklog_Ladder(benchmark::State& state) {
 BENCHMARK(BM_SimBacklog_Ladder);
 
 // ---------------------------------------------------------------------------
-// End-to-end: mini-fleet virtual-events-per-host-second on both queue kinds.
+// End-to-end: mini-fleet virtual-events-per-host-second. The row keeps its
+// _Ladder name: tools/run_bench_parallel.sh filters on it.
 
-void RunMiniFleetBench(benchmark::State& state, SimQueueKind kind) {
+void BM_MiniFleet_Ladder(benchmark::State& state) {
   const ServiceCatalog catalog = ServiceCatalog::BuildDefault();
   MiniFleetOptions options;
   options.duration = Millis(500);
   options.warmup = Millis(100);
   options.frontend_rps = 400;
-  options.sim_queue = kind;
   uint64_t events = 0;
   for (auto _ : state) {
     const MiniFleetResult result = RunMiniFleet(catalog, options);
@@ -239,15 +212,6 @@ void RunMiniFleetBench(benchmark::State& state, SimQueueKind kind) {
     benchmark::DoNotOptimize(result.event_digest);
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
-}
-
-void BM_MiniFleet_Heap(benchmark::State& state) {
-  RunMiniFleetBench(state, SimQueueKind::kBinaryHeap);
-}
-BENCHMARK(BM_MiniFleet_Heap);
-
-void BM_MiniFleet_Ladder(benchmark::State& state) {
-  RunMiniFleetBench(state, SimQueueKind::kLadder);
 }
 BENCHMARK(BM_MiniFleet_Ladder);
 

@@ -52,8 +52,10 @@ int main(int argc, char** argv) {
   std::printf("reading: rpcacc moves serialization/compression/crypto cycles to a PCIe\n"
               "device (host tax collapses, a device column appears); kernel_bypass only\n"
               "touches the networking category; nic_crypto zeroes the per-byte share of\n"
-              "encryption+checksum; notnets_colocated changes nothing here because the\n"
-              "fleet sample has no colocated pairs - its effect needs the DES fast path.\n");
+              "encryption+checksum; notnets_colocated (NotNets, arXiv 2404.06581) changes\n"
+              "nothing here: it acts only on spans marked colocated, and FleetSampler marks\n"
+              "none. The DES prices it like baseline, because colocated calls take the\n"
+              "colocated fast path before any profile is consulted.\n");
 
   // Direction-only assertions for CI: the offload profiles must beat the
   // baseline on both the p99 tail and host tax cycles.

@@ -63,6 +63,9 @@ class FaultInjector : public FabricInterceptor {
   // Calls with `end` at or below the watermark are no-ops.
   [[nodiscard]] Status ArmThrough(SimTime end);
 
+  // The injector's own copy of the plan it was constructed from.
+  const FaultPlan& plan() const { return plan_; }
+
   // FabricInterceptor: true = drop the frame (partition or packet loss).
   // Runs in the sending machine's shard domain.
   bool OnSend(MachineId src, MachineId dst, int64_t bytes) override;

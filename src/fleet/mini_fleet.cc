@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "src/checkpoint/checkpoint.h"
 #include "src/common/check.h"
+#include "src/common/digest.h"
 #include "src/common/logging.h"
 #include "src/fault/injector.h"
 #include "src/fleet/workload.h"
@@ -17,12 +17,6 @@ namespace rpcscope {
 namespace {
 
 constexpr MethodId kServe = 1;
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
 
 }  // namespace
 
@@ -153,7 +147,6 @@ namespace {
 RpcSystemOptions MakeSystemOptions(const MiniFleetOptions& options) {
   RpcSystemOptions sys_opts;
   sys_opts.seed = options.seed;
-  sys_opts.sim_queue = options.sim_queue;
   sys_opts.num_shards = options.num_shards;
   sys_opts.fabric.congestion_probability = 0.01;
   sys_opts.observability = options.observability;
@@ -165,13 +158,16 @@ RpcSystemOptions MakeSystemOptions(const MiniFleetOptions& options) {
 
 MiniFleet::MiniFleet(const ServiceCatalog& catalog, const MiniFleetOptions& options)
     : options_(options), system_(MakeSystemOptions(options)) {
-  if (system_.hub() != nullptr && options_.window_tap) {
+  if (options_.window_tap) {
     system_.hub()->SetWindowCloseTap(options_.window_tap);
   }
   BuildGraph(catalog);
   if (options_.fault_plan != nullptr) {
     injector_ = std::make_unique<FaultInjector>(&system_, *options_.fault_plan);
   }
+  // The caller's plan need not outlive this constructor; injector_ holds the
+  // copy every later reader uses.
+  options_.fault_plan = nullptr;
 }
 
 MiniFleet::~MiniFleet() = default;
@@ -374,8 +370,7 @@ void MiniFleet::BuildGraph(const ServiceCatalog& catalog) {
   }
 
   // --- Frontends: each entry point drives its Table-1 server. Arrival chains
-  // stay unscheduled until the first ArmEpoch; EpochArrivals draws the exact
-  // stream PoissonArrivals used to, so legacy fingerprints hold.
+  // stay unscheduled until the first ArmEpoch.
   struct FrontendSpec {
     MiniFleetDeployment* target;
     int64_t request_bytes;
@@ -438,7 +433,7 @@ Status MiniFleet::ArmThrough(SimTime epoch_end) {
 }
 
 uint64_t MiniFleet::RunSegment(SimTime flush_watermark) {
-  return system_.RunShardedSegment(options_.worker_threads, flush_watermark);
+  return system_.RunSharded(options_.worker_threads, flush_watermark);
 }
 
 Status MiniFleet::ResyncAt(SimTime barrier) { return system_.ResyncShards(barrier); }
@@ -473,29 +468,24 @@ MiniFleetResult MiniFleet::Collect() {
 
   // The canonical merge, made once: the replay below aggregates all of it,
   // and sharded runs then keep its post-warmup part as result.spans.
-  const ObservabilityHub* hub = system_.hub();
-  std::vector<Span> merged;
-  if (sharded || hub != nullptr) {
-    merged = system_.MergedSpans();
+  const ObservabilityHub& hub = *system_.hub();
+  std::vector<Span> merged = system_.MergedSpans();
+  result.streamed_aggregate_digest = hub.AggregateDigest();
+  result.exemplar_digest = hub.ExemplarDigest();
+  result.spans_streamed = hub.spans_ingested();
+  result.span_buffer_drops = hub.span_buffer_drops();
+  result.reservoir_drops = hub.reservoir_drops();
+  result.windows_closed = hub.windows_closed();
+  result.late_window_updates = hub.late_window_updates();
+  for (int s = 0; s < system_.num_shards(); ++s) {
+    result.peak_buffered_spans = std::max(result.peak_buffered_spans,
+                                          system_.shard(s).stream_sink->peak_buffered_spans());
   }
-  if (hub != nullptr) {
-    result.streamed_aggregate_digest = hub->AggregateDigest();
-    result.exemplar_digest = hub->ExemplarDigest();
-    result.spans_streamed = hub->spans_ingested();
-    result.span_buffer_drops = hub->span_buffer_drops();
-    result.reservoir_drops = hub->reservoir_drops();
-    result.windows_closed = hub->windows_closed();
-    result.late_window_updates = hub->late_window_updates();
-    for (int s = 0; s < system_.num_shards(); ++s) {
-      result.peak_buffered_spans = std::max(result.peak_buffered_spans,
-                                            system_.shard(s).stream_sink->peak_buffered_spans());
-    }
-    // The reference aggregation: replay the canonical post-run merge through
-    // a fresh hub. Equal aggregate digests prove the barrier-streamed
-    // pipeline lost nothing and double-counted nothing.
-    result.replayed_aggregate_digest =
-        ReplayIntoHub(merged, options_.observability).AggregateDigest();
-  }
+  // The reference aggregation: replay the canonical post-run merge through a
+  // fresh hub. Equal aggregate digests prove the barrier-streamed pipeline
+  // lost nothing and double-counted nothing.
+  result.replayed_aggregate_digest =
+      ReplayIntoHub(merged, options_.observability).AggregateDigest();
   if (sharded) {
     // Sorted by start time, so the pre-warmup spans are a prefix.
     merged.erase(merged.begin(),
@@ -520,20 +510,23 @@ MiniFleetResult MiniFleet::Collect() {
 }
 
 uint64_t MiniFleet::ConfigHash(SimDuration checkpoint_every) const {
-  uint64_t h = 14695981039346656037ull;
+  uint64_t h = kFnvOffsetBasis;
   auto fold = [&h](uint64_t v) {
     h ^= v;
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
     h = Mix64(h);
   };
   fold(options_.seed);
   fold(static_cast<uint64_t>(options_.duration));
   fold(static_cast<uint64_t>(options_.warmup));
   fold(DoubleBits(options_.frontend_rps));
-  fold(static_cast<uint64_t>(options_.sim_queue));
+  // Constant words for the simulator queue kind (0, the ladder) and the
+  // streaming flag (1, always on) keep every hash, and so every checkpoint
+  // manifest, stable across revisions.
+  fold(0);
   fold(static_cast<uint64_t>(options_.num_shards));
   const ObservabilityOptions& obs = options_.observability;
-  fold(obs.streaming ? 1 : 0);
+  fold(1);
   fold(static_cast<uint64_t>(obs.window));
   fold(static_cast<uint64_t>(obs.max_windows));
   fold(static_cast<uint64_t>(obs.max_buffered_spans));
@@ -548,10 +541,10 @@ uint64_t MiniFleet::ConfigHash(SimDuration checkpoint_every) const {
   fold(options_.policy.ContentHash());
   fold(options_.colocate_frontends ? 1 : 0);
   // Full fault-plan content: a resumed run must execute the same chaos.
-  if (options_.fault_plan == nullptr) {
+  if (injector_ == nullptr) {
     fold(0);
   } else {
-    const FaultPlan& plan = *options_.fault_plan;
+    const FaultPlan& plan = injector_->plan();
     fold(1);
     fold(plan.crashes.size());
     for (const CrashFault& f : plan.crashes) {
@@ -722,11 +715,9 @@ Result<uint64_t> MiniFleet::RestoreCheckpoint(const std::string& ckpt_dir, uint6
 }
 
 MiniFleetResult RunMiniFleet(const ServiceCatalog& catalog, const MiniFleetOptions& options) {
-  MiniFleet fleet(catalog, options);
-  const Status armed = fleet.ArmThrough(kMaxSimTime);
-  RPCSCOPE_CHECK(armed.ok()) << "fault plan failed to arm: " << armed.message();
-  fleet.RunSegment(kMaxSimTime);
-  return fleet.Collect();
+  Result<MiniFleetResult> result = RunMiniFleetCheckpointed(catalog, options, {});
+  RPCSCOPE_CHECK(result.ok()) << "fault plan failed to arm: " << result.status().message();
+  return std::move(*result);
 }
 
 Result<MiniFleetResult> RunMiniFleetCheckpointed(const ServiceCatalog& catalog,

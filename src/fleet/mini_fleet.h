@@ -10,9 +10,9 @@
 //
 // The fleet is a long-lived object so long-horizon runs can be split into
 // epochs and checkpointed at quiescent barriers (docs/ROBUSTNESS.md
-// #checkpointrestore): RunMiniFleet runs one uninterrupted epoch (the legacy
-// behavior, bit-for-bit), RunMiniFleetCheckpointed drives the epoch loop with
-// snapshot/resume.
+// #checkpointrestore). RunMiniFleetCheckpointed is the one driver: it runs
+// the epoch loop with snapshot/resume, and RunMiniFleet is its one-epoch case
+// (no checkpoint directory, one uninterrupted epoch).
 #ifndef RPCSCOPE_SRC_FLEET_MINI_FLEET_H_
 #define RPCSCOPE_SRC_FLEET_MINI_FLEET_H_
 
@@ -42,9 +42,6 @@ struct MiniFleetOptions {
   // Root request rate driven into each frontend entry point.
   double frontend_rps = 600;
   uint64_t seed = 0xf1ee7;
-  // Simulator event-queue implementation. The cross-queue determinism test
-  // runs the same fleet under both kinds and requires identical results.
-  SimQueueKind sim_queue = SimQueueKind::kLadder;
   // Shard-domain execution (docs/PARALLEL.md). With num_shards == 1 (the
   // default) placement and results are exactly the legacy single-domain
   // fleet. With more shards, each service gets its own cluster (and the
@@ -54,9 +51,9 @@ struct MiniFleetOptions {
   int num_shards = 1;
   int worker_threads = 1;
   // Streaming observability pipeline configuration (src/monitor/stream.h);
-  // forwarded to RpcSystemOptions. Streaming is on by default — the run
-  // aggregates online at round barriers, and the result carries both the
-  // streamed and post-run-replayed digests so callers can assert equivalence.
+  // forwarded to RpcSystemOptions. The run always aggregates online at round
+  // barriers, and the result carries both the streamed and post-run-replayed
+  // digests so callers can assert equivalence.
   ObservabilityOptions observability;
   // Optional live tap: invoked on the coordinator thread each time the hub
   // closes a metric window (watermark passed its end). Drive it with a short
@@ -65,7 +62,8 @@ struct MiniFleetOptions {
   // Optional chaos: a fault plan executed by a fleet-owned FaultInjector,
   // epoch-gated so checkpoint barriers stay quiescent. The plan is copied at
   // construction; the pointer only needs to live through the MiniFleet
-  // constructor. Plan content is folded into the checkpoint config hash.
+  // constructor, which clears its own copy of it. The injector's copy of the
+  // plan is folded into the checkpoint config hash.
   const FaultPlan* fault_plan = nullptr;
   // Managed policy plane (docs/POLICY.md): the authored snapshot timeline,
   // forwarded to RpcSystemOptions. Stages apply at conservative-round
@@ -94,7 +92,7 @@ struct MiniFleetResult {
   uint64_t rounds = 0;
   uint64_t cross_domain_events = 0;
 
-  // Streaming-pipeline fingerprints and counters (zero when streaming off).
+  // Streaming-pipeline fingerprints and counters.
   // streamed_aggregate_digest is the hub's AggregateDigest after the run;
   // replayed_aggregate_digest re-aggregates MergedSpans() post-run through
   // ReplayIntoHub. The pipeline's correctness claim is that they are equal —
@@ -221,7 +219,9 @@ class MiniFleet {
 };
 
 // Deploys the graph, runs it uninterrupted, and collects traces. `catalog`
-// supplies service ids and names (BuildDefault()).
+// supplies service ids and names (BuildDefault()). The one-epoch case of
+// RunMiniFleetCheckpointed; CHECK-fails where that returns an error (a fault
+// plan that does not validate).
 MiniFleetResult RunMiniFleet(const ServiceCatalog& catalog, const MiniFleetOptions& options);
 
 // Checkpointed-run driver configuration.

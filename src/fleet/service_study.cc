@@ -211,11 +211,11 @@ ServiceStudyResult RunServiceStudy(const ServiceStudyConfig& config,
 
   Simulator& sim = system.sim();
   const double lambda_client_per_second = lambda_client_per_us * 1e6;
-  std::vector<std::unique_ptr<PoissonArrivals>> arrivals;
+  std::vector<std::unique_ptr<EpochArrivals>> arrivals;
   for (int c = 0; c < config.num_clients; ++c) {
     Client* client = clients[static_cast<size_t>(c)].get();
     auto rng = std::make_shared<Rng>(workload_rng.Fork(static_cast<uint64_t>(c) + 100));
-    arrivals.push_back(std::make_unique<PoissonArrivals>(
+    arrivals.push_back(std::make_unique<EpochArrivals>(
         &sim, lambda_client_per_second, config.duration,
         workload_rng.NextUint64(),
         [&server_machines, client, rng, &config]() {
@@ -231,6 +231,9 @@ ServiceStudyResult RunServiceStudy(const ServiceStudyConfig& config,
                        Payload::Modeled(config.request_bytes), opts,
                        [](const CallResult&, Payload) {});
         }));
+    // One epoch for the whole run, armed before the next client's process is
+    // built so each chain's first event takes its place in the schedule.
+    arrivals.back()->ArmEpoch(kMaxSimTime);
   }
 
   sim.Run();

@@ -8,30 +8,6 @@
 
 namespace rpcscope {
 
-PoissonArrivals::PoissonArrivals(Simulator* sim, double rate_per_second, SimTime until,
-                                 uint64_t seed, Arrival on_arrival)
-    : sim_(sim),
-      mean_gap_us_(1e6 / rate_per_second),
-      until_(until),
-      rng_(seed),
-      on_arrival_(std::move(on_arrival)) {
-  assert(sim != nullptr);
-  assert(rate_per_second > 0);
-  ScheduleNext();
-}
-
-void PoissonArrivals::ScheduleNext() {
-  const SimDuration gap = DurationFromMicros(rng_.NextExponential(mean_gap_us_));
-  sim_->Schedule(gap, [this]() {
-    if (sim_->Now() >= until_) {
-      return;
-    }
-    ++arrivals_;
-    on_arrival_();
-    ScheduleNext();
-  });
-}
-
 EpochArrivals::EpochArrivals(Simulator* sim, double rate_per_second, SimTime until, uint64_t seed,
                              Arrival on_arrival)
     : sim_(sim),
@@ -49,8 +25,8 @@ void EpochArrivals::ArmEpoch(SimTime epoch_end) {
   }
   epoch_end_ = epoch_end;
   if (!started_) {
-    // Lazy first draw: same first gap PoissonArrivals draws in its
-    // constructor (first draw of the same seeded stream, from time 0).
+    // Lazy first draw: the first draw of the seeded stream, from the clock
+    // at the first arming.
     started_ = true;
     next_time_ = sim_->Now() + DurationFromMicros(rng_.NextExponential(mean_gap_us_));
   }
@@ -113,13 +89,6 @@ Status EpochArrivals::RestoreFrom(CheckpointReader& r) {
   next_time_ = next_time;
   epoch_end_ = epoch_end;
   return Status::Ok();
-}
-
-double ArrivalRateForUtilization(double utilization, int workers, SimDuration mean_service) {
-  assert(utilization > 0);
-  assert(workers > 0);
-  assert(mean_service > 0);
-  return utilization * workers / ToSeconds(mean_service);
 }
 
 }  // namespace rpcscope

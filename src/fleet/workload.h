@@ -2,14 +2,12 @@
 //
 // Hyperscale services see open-loop arrivals: clients do not slow down when
 // the server queues (which is exactly why utilization drives the queueing
-// tails of §3.3). PoissonArrivals schedules an exponential-gap arrival
-// process on the simulator until a stop time; ArrivalRateForUtilization
-// derives the rate that loads a worker pool to a target utilization.
+// tails of §3.3). EpochArrivals schedules an exponential-gap arrival process
+// on the simulator until a stop time, one armed window at a time.
 #ifndef RPCSCOPE_SRC_FLEET_WORKLOAD_H_
 #define RPCSCOPE_SRC_FLEET_WORKLOAD_H_
 
 #include <functional>
-#include <memory>
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -20,41 +18,15 @@ namespace rpcscope {
 class CheckpointWriter;
 class CheckpointReader;
 
-class PoissonArrivals {
- public:
-  using Arrival = std::function<void()>;
-
-  // Schedules `on_arrival` with exponential inter-arrival gaps of mean
-  // 1/rate_per_second, starting now and stopping at `until` (virtual time).
-  // The object must outlive the simulation run.
-  PoissonArrivals(Simulator* sim, double rate_per_second, SimTime until, uint64_t seed,
-                  Arrival on_arrival);
-
-  PoissonArrivals(const PoissonArrivals&) = delete;
-  PoissonArrivals& operator=(const PoissonArrivals&) = delete;
-
-  int64_t arrivals() const { return arrivals_; }
-
- private:
-  void ScheduleNext();
-
-  Simulator* sim_;
-  double mean_gap_us_;
-  SimTime until_;
-  Rng rng_;
-  Arrival on_arrival_;
-  int64_t arrivals_ = 0;
-};
-
-// Epoch-gated Poisson arrivals for checkpointed runs (docs/ROBUSTNESS.md
-// #checkpointrestore). Same arrival process as PoissonArrivals, but nothing
-// is scheduled until ArmEpoch(end), and the chain never plants a timer at or
-// beyond the armed window end: an arrival drawn past the boundary is parked
-// (its time remembered, no event queued) and re-armed by the next ArmEpoch.
-// The event queue therefore drains to full quiescence at each epoch boundary
-// — the precondition for serializing the simulator. ArmEpoch(kMaxSimTime)
-// reproduces the PoissonArrivals event stream exactly, including the one
-// terminal no-op event at or after `until`.
+// Epoch-gated Poisson arrivals (docs/ROBUSTNESS.md#checkpointrestore).
+// Nothing is scheduled until ArmEpoch(end), and the chain never plants a
+// timer at or beyond the armed window end: an arrival drawn past the boundary
+// is parked (its time remembered, no event queued) and re-armed by the next
+// ArmEpoch. The event queue therefore drains to full quiescence at each epoch
+// boundary — the precondition for serializing the simulator. A run that is
+// not checkpointed calls ArmEpoch(kMaxSimTime) once, right after
+// construction: the chain then keeps one pending timer until the first
+// arrival at or after `until`, which runs as one terminal no-op event.
 //
 // ArmEpoch may only be called while the simulator is quiescent (before the
 // run or between epoch segments); epoch ends must be strictly increasing.
@@ -100,10 +72,6 @@ class EpochArrivals {
   SimTime next_time_ = 0;    // Parked arrival time (valid once started).
   SimTime epoch_end_ = kMinSimTime;  // Armed window end.
 };
-
-// Arrival rate (per second) that drives `workers` servers, each with mean
-// service time `mean_service`, to `utilization` (0..1).
-double ArrivalRateForUtilization(double utilization, int workers, SimDuration mean_service);
 
 }  // namespace rpcscope
 

@@ -6,25 +6,12 @@
 
 #include "src/checkpoint/checkpoint.h"
 #include "src/common/check.h"
+#include "src/common/digest.h"
 #include "src/trace/storage.h"
 
 namespace rpcscope {
 
 namespace {
-
-// FNV-1a fold of one 64-bit word, byte by byte — the repo-wide digest
-// primitive (same mix as Simulator::event_digest, so hub digests compose
-// with the rest of the determinism fingerprints).
-uint64_t FnvMix(uint64_t digest, uint64_t word) {
-  constexpr uint64_t kPrime = 1099511628211ull;
-  for (int i = 0; i < 8; ++i) {
-    digest ^= (word >> (8 * i)) & 0xff;
-    digest *= kPrime;
-  }
-  return digest;
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 
 uint64_t FoldHistogram(uint64_t digest, const LogHistogram& histogram) {
   digest = FnvMix(digest, static_cast<uint64_t>(histogram.count()));
@@ -334,7 +321,7 @@ double ObservabilityHub::MethodQuantileNanos(int32_t method_id, double q) const 
 }
 
 uint64_t ObservabilityHub::AggregateDigest() const {
-  uint64_t digest = kFnvOffset;
+  uint64_t digest = kFnvOffsetBasis;
   digest = FnvMix(digest, static_cast<uint64_t>(methods_.size()));
   for (const auto& [method_id, stream] : methods_) {
     digest = FnvMix(digest, static_cast<uint64_t>(static_cast<uint32_t>(method_id)));
@@ -361,7 +348,7 @@ uint64_t ObservabilityHub::AggregateDigest() const {
 }
 
 uint64_t ObservabilityHub::ExemplarDigest() const {
-  uint64_t digest = kFnvOffset;
+  uint64_t digest = kFnvOffsetBasis;
   for (const auto& [method_id, stream] : methods_) {
     digest = FnvMix(digest, static_cast<uint64_t>(static_cast<uint32_t>(method_id)));
     digest = FnvMix(digest, static_cast<uint64_t>(stream.reservoir_seen));

@@ -132,9 +132,6 @@ class MetricSink {
 // Configuration for the whole pipeline (shared by sinks and hub so their
 // histogram layouts always agree — LogHistogram::Merge CHECKs layout).
 struct ObservabilityOptions {
-  // Build sinks + hub and stream at barriers. Off leaves the legacy post-run
-  // merge (RpcSystem::MergedSpans) as the only aggregation path.
-  bool streaming = true;
   // Monarch window width. The paper's counters use 30 minutes; short DES
   // scenarios set this to milliseconds to get a live series.
   SimDuration window = Minutes(30);

@@ -1,29 +1,10 @@
 #include "src/policy/policy.h"
 
-#include <cstring>
-
 #include "src/checkpoint/checkpoint.h"
+#include "src/common/digest.h"
 
 namespace rpcscope {
 namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t FnvMix(uint64_t digest, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    digest ^= (value >> (i * 8)) & 0xff;
-    digest *= kFnvPrime;
-  }
-  return digest;
-}
-
-uint64_t FnvMixDouble(uint64_t digest, double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return FnvMix(digest, bits);
-}
 
 const PolicySnapshot& EmptySnapshot() {
   static const PolicySnapshot empty;
@@ -66,8 +47,8 @@ uint64_t MethodPolicy::ContentHash(uint64_t digest) const {
   digest = FnvMix(digest, static_cast<uint64_t>(retry_backoff));
   digest = FnvMix(digest, static_cast<uint64_t>(retry_backoff_cap));
   digest = FnvMix(digest, static_cast<uint64_t>(attempt_timeout));
-  digest = FnvMixDouble(digest, retry_budget_max_tokens);
-  digest = FnvMixDouble(digest, retry_budget_refill);
+  digest = FnvMix(digest, DoubleBits(retry_budget_max_tokens));
+  digest = FnvMix(digest, DoubleBits(retry_budget_refill));
   digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(colocated_bypass)));
   digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(tax_profile)));
   digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(shed_on_deadline)));
@@ -120,7 +101,7 @@ Status PolicyTimeline::Validate() const {
 }
 
 uint64_t PolicyTimeline::ContentHash() const {
-  uint64_t digest = kFnvOffset;
+  uint64_t digest = kFnvOffsetBasis;
   digest = initial.ContentHash(digest);
   digest = FnvMix(digest, stages.size());
   for (const PolicyStage& stage : stages) {

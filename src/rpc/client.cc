@@ -576,15 +576,11 @@ void Client::RecordAttemptSpan(const CallState& st, const Attempt& att, StatusCo
   if (st.options.attempt_observer) {
     st.options.attempt_observer(att.target, code, att.bd.Total());
   }
-  const bool kept = shard_->tracer.Record(span);
-  if (kept && shard_->stream_sink != nullptr) {
+  if (shard_->tracer.Record(span)) {
     // The streaming pipeline taps exactly the kept (head-sampled) stream —
     // the same spans MergedSpans() sees — so streamed aggregates replay
     // bit-for-bit from the post-run merge (stream.h determinism rules).
     shard_->stream_sink->OnSpan(span);
-  }
-  if (system_->options().span_observer) {
-    system_->options().span_observer(span);
   }
 }
 

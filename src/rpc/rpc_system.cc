@@ -6,6 +6,7 @@
 
 #include "src/checkpoint/checkpoint.h"
 #include "src/common/check.h"
+#include "src/common/digest.h"
 #include "src/sim/parallel/shard_executor.h"
 #include "src/trace/span.h"
 
@@ -13,18 +14,11 @@ namespace rpcscope {
 
 namespace {
 
-// FNV-1a fold of one 64-bit word, byte by byte (same mix as the Simulator's
-// event digest, so the sharded digest composes from the same primitive).
-uint64_t FnvMix(uint64_t digest, uint64_t word) {
-  constexpr uint64_t kPrime = 1099511628211ull;
-  for (int i = 0; i < 8; ++i) {
-    digest ^= (word >> (8 * i)) & 0xff;
-    digest *= kPrime;
-  }
-  return digest;
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+// The has-sink ("shard" section) and has-hub ("rpc_system" section) flags of
+// the checkpoint format. Every system builds its sinks and hub, so both are
+// always true, and a restore rejects any other value.
+constexpr bool kHasStreamSink = true;
+constexpr bool kHasHub = true;
 
 }  // namespace
 
@@ -49,8 +43,9 @@ RpcSystem::RpcSystem(const RpcSystemOptions& options)
     trace_options.id_offset = static_cast<uint64_t>(s) << 40;
     const uint64_t rng_seed =
         s == 0 ? options.seed : Mix64(options.seed + static_cast<uint64_t>(s));
-    shards_.push_back(std::make_unique<ShardContext>(s, num_shards, options.sim_queue, &topology_,
-                                                     fabric_options, trace_options, rng_seed));
+    shards_.push_back(std::make_unique<ShardContext>(s, num_shards, &topology_, fabric_options,
+                                                     trace_options, options_.observability,
+                                                     rng_seed));
     // Every shard engine walks the same system-owned timeline; the barriers
     // that advance the cursors use identical watermark sequences, so the
     // shards never disagree on the snapshot in force.
@@ -95,18 +90,10 @@ RpcSystem::RpcSystem(const RpcSystemOptions& options)
     }
   }
 
-  if (options_.observability.streaming) {
-    hub_ = std::make_unique<ObservabilityHub>(options_.observability);
-    for (auto& shard : shards_) {
-      shard->stream_sink = std::make_unique<ShardStreamSink>(options_.observability);
-    }
-  }
+  hub_ = std::make_unique<ObservabilityHub>(options_.observability);
 }
 
 void RpcSystem::FlushObservability(SimTime watermark) {
-  if (hub_ == nullptr) {
-    return;
-  }
   // Canonical shard order fixes the hub's ingest sequence independently of
   // which worker thread ran which shard; see stream.h determinism rules.
   for (auto& shard : shards_) {
@@ -124,7 +111,7 @@ void RpcSystem::AdvancePolicies(SimTime watermark) {
   }
 }
 
-uint64_t RpcSystem::RunSharded(int worker_threads) {
+uint64_t RpcSystem::RunSharded(int worker_threads, SimTime flush_watermark) {
   std::vector<SimDomain*> domains;
   domains.reserve(shards_.size());
   for (auto& shard : shards_) {
@@ -139,63 +126,32 @@ uint64_t RpcSystem::RunSharded(int worker_threads) {
   // Production runs never benefit from more workers than cores — extra
   // threads only add per-round wake/park latency. Determinism is unaffected.
   exec_options.clamp_workers_to_hardware = true;
-  if (hub_ != nullptr || options_.policy.has_stages()) {
-    // Policy swaps land before the flush so the barrier's watermark means the
-    // same thing for both: everything at or before it ran under the old
-    // snapshot, everything after runs under the new one.
-    exec_options.barrier_hook = [this](SimTime round_end) {
-      AdvancePolicies(round_end);
-      FlushObservability(round_end);
-    };
-  }
+  // Policy swaps land before the flush so the barrier's watermark means the
+  // same thing for both: everything at or before it ran under the old
+  // snapshot, everything after runs under the new one.
+  //
+  // Round watermarks clamp to flush_watermark. In an epoch segment the drain
+  // executes cascades past the boundary, but the next epoch's arrivals (armed
+  // only up to that boundary) may still add spans to any window at or past
+  // it. Only windows before the boundary are final at the barrier, so that is
+  // the segment's data-completeness watermark — and the clamp keeps the hub's
+  // watermark monotonic across segments whether or not the process restarts
+  // between them. The policy cursor clamps identically: a stage inside the
+  // drain region past the epoch end must NOT apply this segment, or a run
+  // resumed at the barrier (which replays that region in its next segment,
+  // under the same clamp) would diverge from the uninterrupted run.
+  exec_options.barrier_hook = [this, flush_watermark](SimTime round_end) {
+    AdvancePolicies(std::min(round_end, flush_watermark));
+    FlushObservability(std::min(round_end, flush_watermark));
+  };
   ShardExecutor executor(std::move(domains), exec_options);
   const uint64_t executed = executor.RunToCompletion();
   last_rounds_ = executor.rounds();
   last_cross_domain_events_ = executor.cross_domain_events();
   // Final flush: drains whatever the last partial round left in the sinks
-  // (and, on the single-domain fast path, everything) and closes all windows.
-  AdvancePolicies(kMaxSimTime);
-  FlushObservability(kMaxSimTime);
-  return executed;
-}
-
-uint64_t RpcSystem::RunShardedSegment(int worker_threads, SimTime flush_watermark) {
-  std::vector<SimDomain*> domains;
-  domains.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    domains.push_back(&shard->domain);
-  }
-  ShardExecutorOptions exec_options;
-  exec_options.worker_threads = worker_threads;
-  exec_options.lookahead = lookahead_;
-  if (num_shards() > 1) {
-    exec_options.lookahead_matrix = &lookahead_matrix_;
-  }
-  exec_options.clamp_workers_to_hardware = true;
-  if (hub_ != nullptr || options_.policy.has_stages()) {
-    // Round watermarks clamp to the epoch end: the drain executes cascades
-    // past the boundary, but the next epoch's arrivals (armed only up to that
-    // boundary) may still add spans to any window at or past it. Only windows
-    // before the boundary are final at the barrier, so that is the segment's
-    // data-completeness watermark — and the clamp keeps the hub's watermark
-    // monotonic across segments whether or not the process restarts between
-    // them. The policy cursor clamps identically: a stage inside the drain
-    // region past the epoch end must NOT apply this segment, or a run resumed
-    // at the barrier (which replays that region in its next segment, under
-    // the same clamp) would diverge from the uninterrupted run.
-    exec_options.barrier_hook = [this, flush_watermark](SimTime round_end) {
-      AdvancePolicies(std::min(round_end, flush_watermark));
-      FlushObservability(std::min(round_end, flush_watermark));
-    };
-  }
-  ShardExecutor executor(std::move(domains), exec_options);
-  const uint64_t executed = executor.RunToCompletion();
-  last_rounds_ = executor.rounds();
-  last_cross_domain_events_ = executor.cross_domain_events();
-  // Epoch-bounded flush: unlike RunSharded, windows past the epoch end stay
-  // open — the next segment (or a resumed run) continues filling them. Pass
-  // the epoch end itself; on the final segment callers pass kMaxSimTime to
-  // close everything.
+  // (and, on the single-domain fast path, everything). At kMaxSimTime it
+  // closes every window; at an epoch end, windows past it stay open and the
+  // next segment (or a resumed run) continues filling them.
   AdvancePolicies(flush_watermark);
   FlushObservability(flush_watermark);
   return executed;
@@ -216,7 +172,7 @@ Status RpcSystem::SerializeShard(int s, CheckpointWriter& w) const {
   w.WriteU32(static_cast<uint32_t>(s));
   w.WriteU32(static_cast<uint32_t>(num_shards()));
   WriteRngState(w, ctx.rng);
-  w.WriteBool(ctx.stream_sink != nullptr);
+  w.WriteBool(kHasStreamSink);
   w.EndSection();
   if (Status st = ctx.domain.CheckpointTo(w); !st.ok()) {
     return st;
@@ -230,10 +186,8 @@ Status RpcSystem::SerializeShard(int s, CheckpointWriter& w) const {
   if (Status st = ctx.metrics.CheckpointTo(w); !st.ok()) {
     return st;
   }
-  if (ctx.stream_sink != nullptr) {
-    if (Status st = ctx.stream_sink->CheckpointTo(w); !st.ok()) {
-      return st;
-    }
+  if (Status st = ctx.stream_sink->CheckpointTo(w); !st.ok()) {
+    return st;
   }
   return ctx.policy.CheckpointTo(w);
 }
@@ -255,7 +209,7 @@ Status RpcSystem::RestoreShard(int s, CheckpointReader& r) {
       shard_count != static_cast<uint32_t>(num_shards())) {
     return FailedPreconditionError("shard: checkpoint is for a different shard layout");
   }
-  if (has_sink != (ctx.stream_sink != nullptr)) {
+  if (has_sink != kHasStreamSink) {
     return FailedPreconditionError("shard: streaming observability enablement mismatch");
   }
   ctx.rng = rng;
@@ -271,10 +225,8 @@ Status RpcSystem::RestoreShard(int s, CheckpointReader& r) {
   if (Status st = ctx.metrics.RestoreFrom(r); !st.ok()) {
     return st;
   }
-  if (ctx.stream_sink != nullptr) {
-    if (Status st = ctx.stream_sink->RestoreFrom(r); !st.ok()) {
-      return st;
-    }
+  if (Status st = ctx.stream_sink->RestoreFrom(r); !st.ok()) {
+    return st;
   }
   return ctx.policy.RestoreFrom(r);
 }
@@ -285,12 +237,9 @@ Status RpcSystem::SerializeGlobal(CheckpointWriter& w) const {
   w.WriteU32(static_cast<uint32_t>(shards_.size()));
   w.WriteU64(last_rounds_);
   w.WriteU64(last_cross_domain_events_);
-  w.WriteBool(hub_ != nullptr);
+  w.WriteBool(kHasHub);
   w.EndSection();
-  if (hub_ != nullptr) {
-    return hub_->CheckpointTo(w);
-  }
-  return Status::Ok();
+  return hub_->CheckpointTo(w);
 }
 
 Status RpcSystem::RestoreGlobal(CheckpointReader& r) {
@@ -308,15 +257,12 @@ Status RpcSystem::RestoreGlobal(CheckpointReader& r) {
   if (seed != options_.seed || shard_count != shards_.size()) {
     return FailedPreconditionError("rpc_system: checkpoint is for a different configuration");
   }
-  if (has_hub != (hub_ != nullptr)) {
+  if (has_hub != kHasHub) {
     return FailedPreconditionError("rpc_system: observability hub enablement mismatch");
   }
   last_rounds_ = last_rounds;
   last_cross_domain_events_ = last_cross_domain_events;
-  if (hub_ != nullptr) {
-    return hub_->RestoreFrom(r);
-  }
-  return Status::Ok();
+  return hub_->RestoreFrom(r);
 }
 
 uint64_t RpcSystem::TotalEventsExecuted() const {
@@ -328,7 +274,7 @@ uint64_t RpcSystem::TotalEventsExecuted() const {
 }
 
 uint64_t RpcSystem::ShardedEventDigest() const {
-  uint64_t digest = kFnvOffset;
+  uint64_t digest = kFnvOffsetBasis;
   for (const auto& shard : shards_) {
     digest = FnvMix(digest, shard->domain.sim().event_digest());
     digest = FnvMix(digest, shard->domain.sim().events_executed());

@@ -16,7 +16,6 @@
 #define RPCSCOPE_SRC_RPC_RPC_SYSTEM_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -50,10 +49,6 @@ struct RpcSystemOptions {
   CycleCostModel costs;
   uint64_t seed = 42;
   uint64_t encryption_key = 0x9a7bull;
-  // Event-queue implementation for the simulator. kLadder is the production
-  // default; kBinaryHeap is the reference for the cross-validation test and
-  // bench_simcore (both produce bit-for-bit identical event streams).
-  SimQueueKind sim_queue = SimQueueKind::kLadder;
   // Fraction of spans carrying CPU-cycle annotations (§4.2: not all samples
   // are annotated with cost information).
   double cpu_annotation_probability = 0.5;
@@ -67,13 +62,6 @@ struct RpcSystemOptions {
   // single-domain configuration.
   int num_shards = 1;
 
-  // Observer invoked for every span the stack produces (after sampling is
-  // applied by the collector, independently of whether it was kept). Use it
-  // to feed live monitoring (e.g. a per-service latency histogram) without
-  // retaining spans. Sharded runs invoke it concurrently from worker
-  // threads: it must be thread-safe (or null) when num_shards > 1.
-  std::function<void(const Span&)> span_observer;
-
   // Managed policy plane (src/policy/policy.h, docs/POLICY.md). The timeline's
   // initial snapshot is in force from time 0; staged snapshots are applied by
   // every shard's PolicyEngine at conservative-round barriers, so a hot-swap
@@ -82,12 +70,11 @@ struct RpcSystemOptions {
   // component falls back to its own constructor-time options.
   PolicyTimeline policy;
 
-  // Streaming observability pipeline (src/monitor/stream.h). When
-  // observability.streaming is true (the default), every shard gets a
-  // ShardStreamSink tapping its kept-span stream, and the system owns an
-  // ObservabilityHub fed at conservative-round barriers (and once more after
-  // the run). Aggregates at the hub are bit-for-bit worker-count invariant
-  // and identical to replaying MergedSpans() post-run.
+  // Streaming observability pipeline (src/monitor/stream.h). Every shard
+  // gets a ShardStreamSink tapping its kept-span stream, and the system owns
+  // an ObservabilityHub fed at conservative-round barriers (and once more
+  // after the run). Aggregates at the hub are bit-for-bit worker-count
+  // invariant and identical to replaying MergedSpans() post-run.
   ObservabilityOptions observability;
 };
 
@@ -99,13 +86,14 @@ class RpcSystem {
   // another shard's — that isolation is what makes parallel rounds race-free
   // and deterministic.
   struct ShardContext {
-    ShardContext(int id, int num_domains, SimQueueKind queue_kind, const Topology* topology,
+    ShardContext(int id, int num_domains, const Topology* topology,
                  const FabricOptions& fabric_options, const TraceCollector::Options& trace_options,
-                 uint64_t rng_seed)
-        : domain(id, num_domains, queue_kind),
+                 const ObservabilityOptions& observability, uint64_t rng_seed)
+        : domain(id, num_domains),
           fabric(&domain.sim(), topology, fabric_options),
           tracer(trace_options),
-          rng(rng_seed) {}
+          rng(rng_seed),
+          stream_sink(std::make_unique<ShardStreamSink>(observability)) {}
 
     Simulator& sim() { return domain.sim(); }
     int id() const { return domain.id(); }
@@ -120,9 +108,9 @@ class RpcSystem {
     // shard's channels/clients/servers during round execution — the same
     // phase split that keeps sink flushes race-free.
     PolicyEngine policy;
-    // Shard-local streaming sink (null when observability.streaming is off).
-    // Written only from this shard's round execution; drained only at
-    // barriers on the coordinator (RpcSystem::FlushObservability).
+    // Shard-local streaming sink, never null. Written only from this shard's
+    // round execution; drained only at barriers on the coordinator
+    // (RpcSystem::FlushObservability).
     std::unique_ptr<ShardStreamSink> stream_sink;
   };
 
@@ -175,25 +163,24 @@ class RpcSystem {
   // shard d. Empty when num_shards == 1.
   const LookaheadMatrix& lookahead_matrix() const { return lookahead_matrix_; }
 
-  // Runs every shard domain to completion on `worker_threads` host threads
-  // (conservative PDES, src/sim/parallel/). Returns total events executed.
-  // For a fixed seed the result — digests, merged histograms, trace trees —
-  // is bit-for-bit identical for any worker count. With num_shards == 1 this
-  // is exactly sim().Run().
-  uint64_t RunSharded(int worker_threads = 1);
+  // Runs every shard domain until its queue drains, on `worker_threads` host
+  // threads (conservative PDES, src/sim/parallel/). Returns total events
+  // executed. For a fixed seed the result — digests, merged histograms, trace
+  // trees — is bit-for-bit identical for any worker count. With
+  // num_shards == 1 the events run exactly as sim().Run() would run them.
+  //
+  // Barrier flushes and policy swaps advance at most to `flush_watermark`,
+  // and the final flush advances exactly to it. A whole run passes
+  // kMaxSimTime, which closes every hub window. An epoch segment of a
+  // checkpointed run (docs/ROBUSTNESS.md#checkpointrestore) passes the epoch
+  // end, so windows spanning the boundary stay open for the next segment.
+  uint64_t RunSharded(int worker_threads, SimTime flush_watermark);
 
   // Executor stats from the last RunSharded call (0 before any call;
   // single-domain runs report 1 round — the whole run is one uninterrupted
   // round on the executor's fast path).
   uint64_t last_rounds() const { return last_rounds_; }
   uint64_t last_cross_domain_events() const { return last_cross_domain_events_; }
-
-  // Epoch-segment variant of RunSharded for checkpointed runs (docs/
-  // ROBUSTNESS.md#checkpointrestore): identical execution, but the final
-  // observability flush advances only to `flush_watermark` (the epoch end)
-  // instead of kMaxSimTime, so hub windows spanning the boundary stay open
-  // for the next segment. Pass kMaxSimTime on the last epoch to close out.
-  uint64_t RunShardedSegment(int worker_threads, SimTime flush_watermark);
 
   // Re-synchronizes every shard clock to `barrier` after a segment drains
   // (docs/ROBUSTNESS.md#checkpointrestore). Cascades past the epoch end leave
@@ -215,17 +202,17 @@ class RpcSystem {
   [[nodiscard]] Status SerializeGlobal(CheckpointWriter& w) const;
   [[nodiscard]] Status RestoreGlobal(CheckpointReader& r);
 
-  // The streaming aggregation plane; null when observability.streaming is
-  // off. RunSharded feeds it at every round barrier and flushes it once more
-  // (watermark kMaxSimTime) before returning, so after a run its aggregate
-  // state equals ReplayIntoHub(MergedSpans(), ...) bit-for-bit.
+  // The streaming aggregation plane, never null. RunSharded feeds it at every
+  // round barrier and flushes it once more before returning, so after a run
+  // to kMaxSimTime its aggregate state equals ReplayIntoHub(MergedSpans(),
+  // ...) bit-for-bit.
   ObservabilityHub* hub() { return hub_.get(); }
   const ObservabilityHub* hub() const { return hub_.get(); }
   // Drains every shard sink into the hub in canonical shard order, then
   // advances the hub watermark (closing windows that ended at or before it).
   // Called from the executor's barrier hook; callers driving a shard's
   // simulator directly (legacy sim().Run()) may call it manually after the
-  // run with watermark kMaxSimTime. No-op when streaming is off.
+  // run with watermark kMaxSimTime.
   void FlushObservability(SimTime watermark);
 
   // Applies every policy-timeline stage with at <= watermark on every shard's

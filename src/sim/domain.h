@@ -37,11 +37,8 @@ class SimDomain {
     SimCallback fn;
   };
 
-  SimDomain(int id, int num_domains, SimQueueKind queue_kind = SimQueueKind::kLadder)
-      : id_(id),
-        num_domains_(num_domains),
-        sim_(queue_kind),
-        outbox_(static_cast<size_t>(num_domains)) {
+  SimDomain(int id, int num_domains)
+      : id_(id), num_domains_(num_domains), outbox_(static_cast<size_t>(num_domains)) {
     RPCSCOPE_CHECK_GE(id, 0);
     RPCSCOPE_CHECK_LT(id, num_domains);
   }

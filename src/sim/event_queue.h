@@ -1,23 +1,23 @@
-// Event queues for the discrete-event simulator.
+// The discrete-event simulator's event queue.
 //
-// Both queues hand out events in exact (time, insertion-sequence) order — the
-// order the determinism digest folds — and differ only in cost profile:
+// LadderEventQueue hands out events in exact (time, insertion-sequence)
+// order — the order the determinism digest folds. It is a two-level
+// ladder/calendar queue: a window of near-future buckets gives O(1) insertion
+// and amortized O(1) extraction for the dominant case (events scheduled
+// microseconds ahead); a min-heap overflow holds far-future events until the
+// window advances over them. Bucket width adapts to the observed event
+// density two ways: gradually at window rebuilds, and immediately
+// (multiplicatively) when the cursor reaches a bucket crowded enough that
+// per-bucket sorting would be doing the heap's job. Pushes that land at or
+// behind the cursor go to a small side heap instead of re-sorting the drained
+// bucket, so no push ever pays more than O(log side) regardless of bucket
+// occupancy.
 //
-//  - LadderEventQueue (the default): a two-level ladder/calendar queue. A
-//    window of near-future buckets gives O(1) insertion and amortized O(1)
-//    extraction for the dominant case (events scheduled microseconds ahead);
-//    a min-heap overflow holds far-future events until the window advances
-//    over them. Bucket width adapts to the observed event density two ways:
-//    gradually at window rebuilds, and immediately (multiplicatively) when the
-//    cursor reaches a bucket crowded enough that per-bucket sorting would be
-//    doing the heap's job. Pushes that land at or behind the cursor go to a
-//    small side heap instead of re-sorting the drained bucket, so no push
-//    ever pays more than O(log side) regardless of bucket occupancy.
-//  - BinaryHeapEventQueue: the classic binary min-heap the seed simulator
-//    used. Kept as the reference implementation: the cross-validation test
-//    and bench_simcore run both and require bit-for-bit identical execution.
+// It is the only production queue. A binary min-heap
+// (tests/sim/binary_heap_event_queue.h) is the test oracle the queue tests
+// compare the ladder with, op by op.
 //
-// Neither queue allocates per event in steady state: events embed a
+// The queue does not allocate per event in steady state: events embed a
 // SimCallback (inline storage / pooled captures) and bucket vectors retain
 // their capacity across windows.
 #ifndef RPCSCOPE_SRC_SIM_EVENT_QUEUE_H_
@@ -38,13 +38,6 @@ struct SimEvent {
   SimTime time = 0;
   uint64_t seq = 0;
   SimCallback fn;
-};
-
-// Which event queue a Simulator runs on. kLadder is the production default;
-// kBinaryHeap is the reference for cross-validation and benchmarking.
-enum class SimQueueKind : uint8_t {
-  kLadder = 0,
-  kBinaryHeap = 1,
 };
 
 namespace event_queue_internal {
@@ -70,31 +63,6 @@ struct ExecutesBefore {
 };
 
 }  // namespace event_queue_internal
-
-class BinaryHeapEventQueue {
- public:
-  void Push(SimEvent ev) {
-    heap_.push_back(std::move(ev));
-    std::push_heap(heap_.begin(), heap_.end(), event_queue_internal::ExecutesAfter{});
-  }
-
-  bool Empty() const { return heap_.empty(); }
-  size_t Size() const { return heap_.size(); }
-
-  // Time of the earliest event. Requires !Empty().
-  SimTime PeekTime() { return heap_.front().time; }
-
-  // Removes and returns the earliest event. Requires !Empty().
-  SimEvent PopFront() {
-    std::pop_heap(heap_.begin(), heap_.end(), event_queue_internal::ExecutesAfter{});
-    SimEvent ev = std::move(heap_.back());
-    heap_.pop_back();
-    return ev;
-  }
-
- private:
-  std::vector<SimEvent> heap_;
-};
 
 class LadderEventQueue {
  public:

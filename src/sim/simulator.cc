@@ -4,20 +4,15 @@
 
 #include "src/checkpoint/checkpoint.h"
 #include "src/common/check.h"
+#include "src/common/digest.h"
 
 namespace rpcscope {
 
 namespace {
 
-// FNV-1a fold of one 64-bit word, byte by byte.
-uint64_t FnvMix(uint64_t digest, uint64_t word) {
-  constexpr uint64_t kPrime = 1099511628211ull;
-  for (int i = 0; i < 8; ++i) {
-    digest ^= (word >> (8 * i)) & 0xff;
-    digest *= kPrime;
-  }
-  return digest;
-}
+// The "sim" section's queue-kind byte, kept so the checkpoint format is
+// unchanged: 0 named the ladder, the only queue the simulator runs.
+constexpr uint8_t kQueueKindByte = 0;
 
 }  // namespace
 
@@ -37,11 +32,11 @@ void Simulator::ScheduleAt(SimTime when, Callback fn) {
   if (when < now_) {
     when = now_;
   }
-  QueuePush(SimEvent{when, next_seq_++, std::move(fn)});
+  queue_.Push(SimEvent{when, next_seq_++, std::move(fn)});
 }
 
 SimEvent Simulator::PopEvent() {
-  SimEvent ev = queue_kind_ == SimQueueKind::kLadder ? ladder_.PopFront() : heap_.PopFront();
+  SimEvent ev = queue_.PopFront();
   // The virtual clock never moves backwards, and the queue hands out events in
   // strict (time, seq) order. A violation here means the queue or an event
   // mutation corrupted the schedule — every downstream latency number would be
@@ -62,7 +57,7 @@ SimEvent Simulator::PopEvent() {
 
 uint64_t Simulator::Run() {
   uint64_t executed = 0;
-  while (!QueueEmpty()) {
+  while (!queue_.Empty()) {
     SimEvent ev = PopEvent();
     ev.fn();
     ++executed;
@@ -73,7 +68,7 @@ uint64_t Simulator::Run() {
 
 uint64_t Simulator::RunBefore(SimTime until) {
   uint64_t executed = 0;
-  while (!QueueEmpty() && QueuePeekTime() < until) {
+  while (!queue_.Empty() && queue_.PeekTime() < until) {
     SimEvent ev = PopEvent();
     ev.fn();
     ++executed;
@@ -83,13 +78,13 @@ uint64_t Simulator::RunBefore(SimTime until) {
 }
 
 Status Simulator::CheckpointTo(CheckpointWriter& w) const {
-  if (!ladder_.Empty() || !heap_.Empty()) {
+  if (!queue_.Empty()) {
     return FailedPreconditionError(
         "simulator queue not drained: checkpoints are only taken at quiescent "
         "barriers (events hold closures and cannot be persisted)");
   }
   w.BeginSection("sim");
-  w.WriteU8(static_cast<uint8_t>(queue_kind_));
+  w.WriteU8(kQueueKindByte);
   w.WriteI64(now_);
   w.WriteU64(next_seq_);
   w.WriteU64(events_executed_);
@@ -102,13 +97,13 @@ Status Simulator::CheckpointTo(CheckpointWriter& w) const {
 }
 
 Status Simulator::RestoreFrom(CheckpointReader& r) {
-  if (!ladder_.Empty() || !heap_.Empty()) {
+  if (!queue_.Empty()) {
     return FailedPreconditionError("restore into a simulator with pending events");
   }
   if (Status s = r.EnterSection("sim"); !s.ok()) {
     return s;
   }
-  const auto kind = static_cast<SimQueueKind>(r.ReadU8());
+  const uint8_t queue_kind = r.ReadU8();
   const SimTime now = r.ReadI64();
   const uint64_t next_seq = r.ReadU64();
   const uint64_t events_executed = r.ReadU64();
@@ -119,7 +114,7 @@ Status Simulator::RestoreFrom(CheckpointReader& r) {
   if (Status s = r.LeaveSection(); !s.ok()) {
     return s;
   }
-  if (kind != queue_kind_) {
+  if (queue_kind != kQueueKindByte) {
     return FailedPreconditionError(
         "checkpoint was taken with a different simulator queue kind");
   }
@@ -137,7 +132,7 @@ Status Simulator::RestoreFrom(CheckpointReader& r) {
 }
 
 Status Simulator::ResyncAt(SimTime barrier) {
-  if (!ladder_.Empty() || !heap_.Empty()) {
+  if (!queue_.Empty()) {
     return FailedPreconditionError(
         "simulator queue not drained: barrier resync requires quiescence");
   }
@@ -153,14 +148,13 @@ Status Simulator::ResyncAt(SimTime barrier) {
   last_time_ = 0;
   last_seq_ = 0;
   any_executed_ = false;
-  ladder_ = LadderEventQueue();
-  heap_ = BinaryHeapEventQueue();
+  queue_ = LadderEventQueue();
   return Status::Ok();
 }
 
 uint64_t Simulator::RunUntil(SimTime until) {
   uint64_t executed = 0;
-  while (!QueueEmpty() && QueuePeekTime() <= until) {
+  while (!queue_.Empty() && queue_.PeekTime() <= until) {
     SimEvent ev = PopEvent();
     ev.fn();
     ++executed;

@@ -8,16 +8,19 @@
 //
 // Hot-path design (docs/PERF.md): callbacks are SimCallback (inline storage,
 // pooled arena for large captures) and the pending-event set lives in a
-// ladder/calendar queue by default, so steady-state Schedule/dispatch is
-// allocation-free and mostly O(1). The seed binary-heap queue remains
-// available as SimQueueKind::kBinaryHeap; both produce bit-for-bit identical
-// event streams, which the cross-validation test enforces via event_digest().
+// ladder/calendar queue, so steady-state Schedule/dispatch is allocation-free
+// and mostly O(1). A binary heap serves only as a test oracle
+// (tests/sim/binary_heap_event_queue.h) that the queue tests compare the
+// ladder with, op by op. PopEvent CHECKs strict (time, seq) order on every
+// event, so a run that executes every scheduled event once executes them in
+// exactly the heap's order.
 #ifndef RPCSCOPE_SRC_SIM_SIMULATOR_H_
 #define RPCSCOPE_SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
 
 #include "src/common/check.h"
+#include "src/common/digest.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/sim/callback.h"
@@ -33,13 +36,11 @@ class Simulator {
  public:
   using Callback = SimCallback;
 
-  explicit Simulator(SimQueueKind queue_kind = SimQueueKind::kLadder)
-      : queue_kind_(queue_kind) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime Now() const { return now_; }
-  SimQueueKind queue_kind() const { return queue_kind_; }
 
   // Schedules `fn` to run `delay` after the current time (delay >= 0). A
   // negative delay is a caller bug: debug builds DCHECK-fail on it, release
@@ -67,26 +68,29 @@ class Simulator {
 
   // Timestamp of the earliest pending event, or kMaxSimTime when the queue is
   // empty. The shard executor uses this to size adaptive rounds.
-  SimTime NextEventTime() { return QueueEmpty() ? kMaxSimTime : QueuePeekTime(); }
+  SimTime NextEventTime() { return queue_.Empty() ? kMaxSimTime : queue_.PeekTime(); }
 
   // RunUntil(now + duration), saturating instead of wrapping on overflow.
   uint64_t RunFor(SimDuration duration) { return RunUntil(AddClamped(now_, duration)); }
 
-  bool empty() const { return QueueEmpty(); }
+  bool empty() const { return queue_.Empty(); }
   uint64_t events_executed() const { return events_executed_; }
+  // Events ever scheduled (the next sequence number). Once the queue drains,
+  // events_scheduled() == events_executed() says every event ran exactly once.
+  uint64_t events_scheduled() const { return next_seq_; }
 
   // Order-sensitive digest of every (time, seq) pair executed so far (FNV-1a
   // over the event stream). Two runs of the same seeded workload must produce
-  // identical digests; the determinism regression test, the CI smoke test,
-  // and the ladder-vs-heap cross-validation test diff this value.
+  // identical digests; the determinism regression tests and the CI smoke test
+  // diff this value.
   uint64_t event_digest() const { return event_digest_; }
 
   // Checkpoint support (src/checkpoint/). The event queue holds closures and
   // cannot be persisted, so both directions require a drained queue: the
   // clock, sequence counter, and digest serialize, and schedulers re-arm
   // their own future events after Restore. Serialize fails if any event is
-  // pending; Restore fails on a queue-kind mismatch (a checkpoint belongs to
-  // one run configuration) or a pre-populated queue.
+  // pending; Restore fails on a pre-populated queue. The section keeps the
+  // byte that once named the queue kind; it is always 0 (the ladder).
   [[nodiscard]] Status CheckpointTo(CheckpointWriter& w) const;
   [[nodiscard]] Status RestoreFrom(CheckpointReader& r);
 
@@ -101,38 +105,19 @@ class Simulator {
   [[nodiscard]] Status ResyncAt(SimTime barrier);
 
  private:
-  // Queue operations dispatch on queue_kind_: one perfectly-predicted branch
-  // per op, which keeps both implementations first-class (the reference heap
-  // must stay runnable for cross-validation and benchmarking).
-  void QueuePush(SimEvent ev) {
-    if (queue_kind_ == SimQueueKind::kLadder) {
-      ladder_.Push(std::move(ev));
-    } else {
-      heap_.Push(std::move(ev));
-    }
-  }
-  bool QueueEmpty() const {
-    return queue_kind_ == SimQueueKind::kLadder ? ladder_.Empty() : heap_.Empty();
-  }
-  SimTime QueuePeekTime() {
-    return queue_kind_ == SimQueueKind::kLadder ? ladder_.PeekTime() : heap_.PeekTime();
-  }
-
   // Pops the front event, advances the clock (checking monotonicity and
   // (time, seq) ordering), and folds the event into the digest.
   SimEvent PopEvent();
 
-  SimQueueKind queue_kind_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
-  uint64_t event_digest_ = 14695981039346656037ull;  // FNV-1a offset basis.
+  uint64_t event_digest_ = kFnvOffsetBasis;
   // (time, seq) of the most recently executed event, for ordering checks.
   SimTime last_time_ = 0;
   uint64_t last_seq_ = 0;
   bool any_executed_ = false;
-  LadderEventQueue ladder_;
-  BinaryHeapEventQueue heap_;
+  LadderEventQueue queue_;
 };
 
 }  // namespace rpcscope

@@ -112,7 +112,7 @@ ShardedChaosOutcome RunShardedChaos(uint64_t seed, int worker_threads) {
     });
   }
 
-  system.RunSharded(worker_threads);
+  system.RunSharded(worker_threads, kMaxSimTime);
 
   out.digest = system.ShardedEventDigest();
   out.events = system.TotalEventsExecuted();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "src/fault/fault_plan.h"
 #include "src/trace/tree.h"
 
 namespace rpcscope {
@@ -107,6 +110,31 @@ TEST_F(MiniFleetTest, TreesAreShallowAndWide) {
   // Longest Table-1 chain: frontend root (depth 0) -> KV -> Bigtable -> ND.
   EXPECT_GE(max_depth, 2);
   EXPECT_LE(max_depth, 4);
+}
+
+// MiniFleetOptions::fault_plan only needs to live through the constructor,
+// so ConfigHash must read the fleet's own copy of the plan, never the
+// caller's pointer.
+TEST(MiniFleetConfigHashTest, FaultPlanNeedNotOutliveConstruction) {
+  const ServiceCatalog catalog = ServiceCatalog::BuildDefault();
+  auto plan = std::make_unique<FaultPlan>();
+  plan->crashes.push_back({.machine = 1, .at = Millis(300), .restart_at = Millis(600)});
+  plan->gray_slowdowns.push_back(
+      {.machine = 2, .factor = 40.0, .start = Millis(300), .end = Millis(650)});
+  plan->losses.push_back(
+      {.src = 3, .dst = 4, .loss_probability = 0.2, .start = Millis(350), .end = Millis(700)});
+  MiniFleetOptions options;
+  options.duration = Seconds(1);
+  options.fault_plan = plan.get();
+  const MiniFleet fleet(catalog, options);
+  const uint64_t while_alive = fleet.ConfigHash(Millis(250));
+  plan.reset();
+  EXPECT_EQ(fleet.ConfigHash(Millis(250)), while_alive);
+
+  // The plan's content is still part of the hash.
+  options.fault_plan = nullptr;
+  const MiniFleet no_plan(catalog, options);
+  EXPECT_NE(no_plan.ConfigHash(Millis(250)), while_alive);
 }
 
 }  // namespace

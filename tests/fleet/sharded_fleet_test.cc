@@ -228,7 +228,7 @@ TEST(ShardedFleetTest, CrossShardRpcEndToEnd) {
     });
   }
 
-  system.RunSharded(2);
+  system.RunSharded(2, kMaxSimTime);
 
   ASSERT_EQ(results->size(), static_cast<size_t>(kCalls));
   EXPECT_GT(system.last_cross_domain_events(), 0u);

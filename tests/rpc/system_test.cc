@@ -95,29 +95,5 @@ TEST(RpcSystemTest, FullFleetPipelineIsDeterministic) {
   }
 }
 
-TEST(RpcSystemTest, SpanObserverSeesEverySpan) {
-  RpcSystemOptions opts;
-  opts.fabric.congestion_probability = 0;
-  int observed = 0;
-  SimDuration total = 0;
-  opts.span_observer = [&](const Span& span) {
-    ++observed;
-    total += span.latency.Total();
-  };
-  RpcSystem system(opts);
-  Server server(&system, system.topology().MachineAt(0, 0), ServerOptions{});
-  server.RegisterMethod(1, "M", [](std::shared_ptr<ServerCall> call) {
-    call->Compute(Micros(50), [call]() { call->Finish(Status::Ok(), Payload::Modeled(64)); });
-  });
-  Client client(&system, system.topology().MachineAt(0, 1));
-  for (int i = 0; i < 25; ++i) {
-    client.Call(server.machine(), 1, Payload::Modeled(64), {},
-                [](const CallResult&, Payload) {});
-  }
-  system.sim().Run();
-  EXPECT_EQ(observed, 25);
-  EXPECT_GT(total, 0);
-}
-
 }  // namespace
 }  // namespace rpcscope

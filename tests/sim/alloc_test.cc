@@ -5,7 +5,7 @@
 // internal buffer (ladder buckets, callback capture pool), steady-state
 // Schedule + dispatch must perform zero heap allocations — for small captures
 // (inline SimCallback storage) and for large captures (recycled CapturePool
-// blocks) alike, on both queue kinds.
+// blocks) alike.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -93,21 +93,18 @@ uint64_t RunPhase(Simulator& sim, ChainT* chains, int chain_count,
 }
 
 TEST(AllocTest, SteadyStateDispatchIsAllocationFreeInlineCaptures) {
-  for (const SimQueueKind kind :
-       {SimQueueKind::kLadder, SimQueueKind::kBinaryHeap}) {
-    Simulator sim(kind);
-    constexpr int kChains = 8;
-    Chain chains[kChains];
-    for (int i = 0; i < kChains; ++i) {
-      chains[i].sim = &sim;
-      // Mixed periods spread events across ladder buckets.
-      chains[i].step = Micros(1 + i);
-    }
-    // Warmup: grow bucket vectors across several window rebuilds.
-    (void)RunPhase(sim, chains, kChains, 20000);
-    const uint64_t allocs = RunPhase(sim, chains, kChains, 20000);
-    EXPECT_EQ(allocs, 0u) << "queue kind " << static_cast<int>(kind);
+  Simulator sim;
+  constexpr int kChains = 8;
+  Chain chains[kChains];
+  for (int i = 0; i < kChains; ++i) {
+    chains[i].sim = &sim;
+    // Mixed periods spread events across ladder buckets.
+    chains[i].step = Micros(1 + i);
   }
+  // Warmup: grow bucket vectors across several window rebuilds.
+  (void)RunPhase(sim, chains, kChains, 20000);
+  const uint64_t allocs = RunPhase(sim, chains, kChains, 20000);
+  EXPECT_EQ(allocs, 0u);
 }
 
 TEST(AllocTest, SteadyStateDispatchIsAllocationFreePooledCaptures) {

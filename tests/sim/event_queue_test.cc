@@ -16,6 +16,7 @@
 
 #include "src/common/rng.h"
 #include "src/sim/simulator.h"
+#include "tests/sim/binary_heap_event_queue.h"
 
 namespace rpcscope {
 namespace {
@@ -188,38 +189,32 @@ TEST(EventQueueTest, BucketWidthAdaptsToDensity) {
   EXPECT_GT(sparse.width_shift(), initial);
 }
 
-// Simulator-level cross-validation: identical workloads on both queue kinds
-// must produce identical event digests (the determinism fingerprint folds
-// every executed (time, seq) pair in order).
-TEST(EventQueueTest, SimulatorDigestIdenticalAcrossQueueKinds) {
-  auto run = [](SimQueueKind kind) {
-    Simulator sim(kind);
-    Rng rng(0x5eed);
-    // Self-rescheduling chains with random fan-out: a workload whose event
-    // interleaving covers ties, bursts, and long jumps.
-    std::function<void(int)> spawn = [&](int depth) {
-      if (depth >= 6) {
-        return;
-      }
-      const int children = 1 + static_cast<int>(rng.NextBounded(3));
-      for (int c = 0; c < children; ++c) {
-        const SimDuration d = static_cast<SimDuration>(rng.NextBounded(Millis(20)));
-        sim.Schedule(d, [&spawn, depth] { spawn(depth + 1); });
-      }
-    };
-    for (int i = 0; i < 8; ++i) {
-      sim.Schedule(static_cast<SimDuration>(rng.NextBounded(Micros(100))),
-                   [&spawn] { spawn(0); });
+// Simulator-level check: every scheduled event executes exactly once. The
+// Simulator CHECKs strict (time, seq) order on every pop, so together the two
+// pin the run to exactly the order the reference heap would produce.
+TEST(EventQueueTest, SimulatorExecutesEveryScheduledEvent) {
+  Simulator sim;
+  Rng rng(0x5eed);
+  // Self-rescheduling chains with random fan-out: a workload whose event
+  // interleaving covers ties, bursts, and long jumps.
+  std::function<void(int)> spawn = [&](int depth) {
+    if (depth >= 6) {
+      return;
     }
-    sim.Schedule(Hours(2), [] {});  // One far-future overflow resident.
-    sim.Run();
-    return std::pair<uint64_t, uint64_t>(sim.events_executed(), sim.event_digest());
+    const int children = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int c = 0; c < children; ++c) {
+      const SimDuration d = static_cast<SimDuration>(rng.NextBounded(Millis(20)));
+      sim.Schedule(d, [&spawn, depth] { spawn(depth + 1); });
+    }
   };
-  const auto ladder = run(SimQueueKind::kLadder);
-  const auto heap = run(SimQueueKind::kBinaryHeap);
-  EXPECT_EQ(ladder.first, heap.first);
-  EXPECT_EQ(ladder.second, heap.second);
-  EXPECT_GT(ladder.first, 100u);
+  for (int i = 0; i < 8; ++i) {
+    sim.Schedule(static_cast<SimDuration>(rng.NextBounded(Micros(100))), [&spawn] { spawn(0); });
+  }
+  sim.Schedule(Hours(2), [] {});  // One far-future overflow resident.
+  sim.Run();
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.events_executed(), sim.events_scheduled());
+  EXPECT_GT(sim.events_executed(), 100u);
 }
 
 }  // namespace

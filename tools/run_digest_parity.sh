@@ -10,9 +10,13 @@
 #   - examples/offload_whatif 10 (every tax profile over the catalog);
 #   - the stdout of every scan-fed figure binary (fig02, fig03, fig06, fig07,
 #     fig08, fig11, fig12, fig13, fig20, fig21, fig23: FleetSampler draws,
-#     the scan and the analyzers), of calibration_report, and of
-#     fig14_breakdown (DES pricing).
+#     the scan and the analyzers), of calibration_report, of every
+#     RunServiceStudy figure (fig14 to fig19: the single-domain DES, its
+#     arrival processes and pricing) and of ext_minifleet (the single-domain
+#     RunMiniFleet; every fleet_study run above uses 8 shards).
 # A change that keeps "every digest unchanged" runs it against its parent.
+# The DES figures make it slow: about 12 minutes on a 4-core host, builds
+# included.
 #
 # Usage: tools/run_digest_parity.sh <base-rev>
 # Both builds and all outputs go in a temporary directory under TMPDIR
@@ -28,7 +32,8 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 SEEDS="5 11 23"
 BENCH_BINS=(fig02_latency fig03_popularity fig06_sizes fig07_ratio fig08_services fig11_taxratio
             fig12_network fig13_queuing fig20_cycletax fig21_cycles fig23_errors calibration_report
-            fig14_breakdown)
+            fig14_breakdown fig15_whatif fig16_clusters fig17_exogenous fig18_diurnal
+            fig19_crosscluster ext_minifleet)
 TARGETS=(fleet_study offload_whatif "${BENCH_BINS[@]}")
 
 if ! BASE_SHA="$(git -C "$ROOT" rev-parse --verify --quiet "$1^{commit}")"; then
