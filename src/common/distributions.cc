@@ -7,75 +7,6 @@
 
 namespace rpcscope {
 
-namespace {
-
-// Standard normal quantile (Acklam's rational approximation, |err| < 1.2e-8).
-double NormalQuantile(double p) {
-  assert(p > 0.0 && p < 1.0);
-  static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                             -2.759285104469687e+02, 1.383577518672690e+02,
-                             -3.066479806614716e+01, 2.506628277459239e+00};
-  static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                             -1.556989798598866e+02, 6.680131188771972e+01,
-                             -1.328068155288572e+01};
-  static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                             -2.400758277161838e+00, -2.549732539343734e+00,
-                             4.374664141464968e+00,  2.938163982698783e+00};
-  static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                             2.445134137142996e+00, 3.754408661907416e+00};
-  const double p_low = 0.02425;
-  double q, r;
-  if (p < p_low) {
-    q = std::sqrt(-2 * std::log(p));
-    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1);
-  }
-  if (p <= 1 - p_low) {
-    q = p - 0.5;
-    r = q * q;
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q /
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1);
-  }
-  q = std::sqrt(-2 * std::log(1 - p));
-  return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-         ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1);
-}
-
-}  // namespace
-
-LognormalDist LognormalDist::FromMedianSigma(double median, double sigma) {
-  return LognormalDist(std::log(median), sigma);
-}
-
-double LognormalDist::Quantile(double p) const {
-  return std::exp(mu_ + sigma_ * NormalQuantile(p));
-}
-
-MixtureDist::MixtureDist(std::vector<std::unique_ptr<Distribution>> components,
-                         std::vector<double> weights)
-    : components_(std::move(components)) {
-  assert(components_.size() == weights.size());
-  assert(!components_.empty());
-  double total = 0;
-  for (double w : weights) {
-    total += w;
-  }
-  double acc = 0;
-  cumulative_.reserve(weights.size());
-  for (double w : weights) {
-    acc += w / total;
-    cumulative_.push_back(acc);
-  }
-  cumulative_.back() = 1.0;
-}
-
-double MixtureDist::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  const auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  const size_t idx = static_cast<size_t>(it - cumulative_.begin());
-  return components_[std::min(idx, components_.size() - 1)]->Sample(rng);
-}
-
 QuantileCurve::QuantileCurve(std::vector<Anchor> anchors, double min_value, double max_value)
     : min_value_(min_value), max_value_(max_value) {
   assert(anchors.size() >= 2);

@@ -1,106 +1,27 @@
-// Parametric and empirical distributions used by the generative fleet model.
+// Empirical distributions used by the generative fleet model.
 //
 // The calibration strategy throughout rpcscope is quantile-anchored: the paper
 // reports distributions by their quantiles (e.g. "90% of methods have a median
 // latency of 10.7 ms or greater"), so QuantileCurve lets us construct a
 // distribution directly from a set of (probability, value) anchors with
-// log-linear interpolation between them. Parametric families (lognormal,
-// pareto, zipf, mixtures) cover the per-RPC sampling inside each method.
+// log-linear interpolation between them. DiscreteDist and ZipfWeights draw
+// the method popularity table; per-RPC lognormal draws use Rng directly.
 #ifndef RPCSCOPE_SRC_COMMON_DISTRIBUTIONS_H_
 #define RPCSCOPE_SRC_COMMON_DISTRIBUTIONS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
 
 namespace rpcscope {
 
-// Abstract positive-valued continuous distribution.
-class Distribution {
- public:
-  virtual ~Distribution() = default;
-  virtual double Sample(Rng& rng) const = 0;
-};
-
-// Fixed value.
-class ConstantDist final : public Distribution {
- public:
-  explicit ConstantDist(double value) : value_(value) {}
-  double Sample(Rng&) const override { return value_; }
-
- private:
-  double value_;
-};
-
-// Uniform on [lo, hi).
-class UniformDist final : public Distribution {
- public:
-  UniformDist(double lo, double hi) : lo_(lo), hi_(hi) {}
-  double Sample(Rng& rng) const override { return rng.NextUniform(lo_, hi_); }
-
- private:
-  double lo_;
-  double hi_;
-};
-
-// Exponential with the given mean.
-class ExponentialDist final : public Distribution {
- public:
-  explicit ExponentialDist(double mean) : mean_(mean) {}
-  double Sample(Rng& rng) const override { return rng.NextExponential(mean_); }
-
- private:
-  double mean_;
-};
-
-// Lognormal parameterized by the log-space mean/stddev.
-class LognormalDist final : public Distribution {
- public:
-  LognormalDist(double mu, double sigma) : mu_(mu), sigma_(sigma) {}
-
-  // Construct from the distribution's own median and the sigma of log-values.
-  static LognormalDist FromMedianSigma(double median, double sigma);
-
-  double Sample(Rng& rng) const override { return rng.NextLognormal(mu_, sigma_); }
-  double Quantile(double p) const;
-  double mu() const { return mu_; }
-  double sigma() const { return sigma_; }
-
- private:
-  double mu_;
-  double sigma_;
-};
-
-// Pareto (heavy tail) with scale and shape.
-class ParetoDist final : public Distribution {
- public:
-  ParetoDist(double scale, double alpha) : scale_(scale), alpha_(alpha) {}
-  double Sample(Rng& rng) const override { return rng.NextPareto(scale_, alpha_); }
-
- private:
-  double scale_;
-  double alpha_;
-};
-
-// Mixture of component distributions with the given weights.
-class MixtureDist final : public Distribution {
- public:
-  MixtureDist(std::vector<std::unique_ptr<Distribution>> components, std::vector<double> weights);
-  double Sample(Rng& rng) const override;
-
- private:
-  std::vector<std::unique_ptr<Distribution>> components_;
-  std::vector<double> cumulative_;  // Normalized CDF over components.
-};
-
 // A distribution defined by quantile anchors (p_i, v_i), 0 < p_i < 1 strictly
-// increasing, v_i > 0 non-decreasing. Sampling draws U~Uniform(0,1) and
-// interpolates log(v) linearly in p; beyond the outermost anchors the curve
-// extrapolates with the slope of the nearest segment, clamped to
-// [min_value, max_value].
-class QuantileCurve final : public Distribution {
+// increasing, v_i > 0 non-decreasing. Quantile(p) interpolates log(v)
+// linearly in p; beyond the outermost anchors the curve extrapolates with the
+// slope of the nearest segment, clamped to [min_value, max_value].
+class QuantileCurve {
  public:
   struct Anchor {
     double p;
@@ -108,8 +29,6 @@ class QuantileCurve final : public Distribution {
   };
 
   QuantileCurve(std::vector<Anchor> anchors, double min_value, double max_value);
-
-  double Sample(Rng& rng) const override { return Quantile(rng.NextDouble()); }
 
   // Inverse-CDF evaluation at probability p in [0, 1].
   double Quantile(double p) const;

@@ -84,8 +84,6 @@ double Rng::NextDoublePositive() {
   return (static_cast<double>(NextUint64() >> 11) + 1.0) * 0x1.0p-53;
 }
 
-double Rng::NextUniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
-
 double Rng::NextGaussian() {
   if (has_cached_gaussian_) {
     has_cached_gaussian_ = false;
@@ -109,10 +107,6 @@ double Rng::NextLognormal(double mu, double sigma) {
   return std::exp(mu + sigma * NextGaussian());
 }
 
-double Rng::NextPareto(double scale, double alpha) {
-  return scale / std::pow(NextDoublePositive(), 1.0 / alpha);
-}
-
 bool Rng::NextBool(double p) { return NextDouble() < p; }
 
 int64_t Rng::NextPoisson(double mean) {
@@ -133,16 +127,6 @@ int64_t Rng::NextPoisson(double mean) {
     ++count;
   }
   return count;
-}
-
-int64_t Rng::NextGeometric(double p) {
-  if (p >= 1.0) {
-    return 0;
-  }
-  if (p <= 0.0) {
-    return INT64_MAX;
-  }
-  return static_cast<int64_t>(std::log(NextDoublePositive()) / std::log1p(-p));
 }
 
 Rng Rng::Fork(uint64_t stream) {

@@ -51,9 +51,6 @@ class Rng {
   // Uniform double on (0, 1] — safe as an argument to log().
   double NextDoublePositive();
 
-  // Uniform double on [lo, hi).
-  double NextUniform(double lo, double hi);
-
   // Standard normal via the polar Box-Muller method (caches the pair).
   double NextGaussian();
 
@@ -63,18 +60,12 @@ class Rng {
   // Lognormal: exp(mu + sigma * Z).
   double NextLognormal(double mu, double sigma);
 
-  // Pareto with scale x_m > 0 and shape alpha > 0: x_m / U^(1/alpha).
-  double NextPareto(double scale, double alpha);
-
   // Bernoulli with probability p (clamped to [0,1]).
   bool NextBool(double p);
 
   // Poisson-distributed count with the given mean (Knuth for small means,
   // normal approximation above 64 to stay O(1)).
   int64_t NextPoisson(double mean);
-
-  // Geometric number of failures before first success, success prob p in (0,1].
-  int64_t NextGeometric(double p);
 
   // Derives an independent child generator; stream `i` of this rng.
   Rng Fork(uint64_t stream);

@@ -66,12 +66,6 @@ Status DeadlineExceededError(std::string message) {
 Status NotFoundError(std::string message) {
   return Status(StatusCode::kNotFound, std::move(message));
 }
-Status AlreadyExistsError(std::string message) {
-  return Status(StatusCode::kAlreadyExists, std::move(message));
-}
-Status PermissionDeniedError(std::string message) {
-  return Status(StatusCode::kPermissionDenied, std::move(message));
-}
 Status ResourceExhaustedError(std::string message) {
   return Status(StatusCode::kResourceExhausted, std::move(message));
 }

@@ -71,8 +71,6 @@ Status CancelledError(std::string message);
 Status InvalidArgumentError(std::string message);
 Status DeadlineExceededError(std::string message);
 Status NotFoundError(std::string message);
-Status AlreadyExistsError(std::string message);
-Status PermissionDeniedError(std::string message);
 Status ResourceExhaustedError(std::string message);
 Status FailedPreconditionError(std::string message);
 Status InternalError(std::string message);

@@ -1,8 +1,8 @@
 // One analysis function per paper figure/table. Each consumes substrate
 // output (sampled spans, call trees, DES study results, profiles, metric
 // series) and produces a FigureReport with paper-vs-measured comparisons.
-// The bench binaries under bench/ are thin wrappers: build workload -> call
-// the analysis -> print.
+// bench/figures.cc (rpcscope_figures) holds one thin row per figure: build the
+// workload -> call the analysis -> print.
 #ifndef RPCSCOPE_SRC_CORE_ANALYSES_H_
 #define RPCSCOPE_SRC_CORE_ANALYSES_H_
 

@@ -35,8 +35,8 @@ class ComparisonTable {
   TextTable table_;
 };
 
-// Standard entry point used by every bench binary: prints the report, as CSV
-// when argv contains "--csv".
+// Prints a report to stdout, as CSV when argv contains "--csv". Every bench
+// report goes through it, each rpcscope_figures row included.
 int RunFigureMain(int argc, char** argv, const FigureReport& report);
 
 }  // namespace rpcscope

@@ -291,13 +291,4 @@ SampledRpc FleetSampler::SampleMethod(int32_t method_id) {
   return out;
 }
 
-std::vector<SampledRpc> FleetSampler::SampleMany(int64_t n) {
-  std::vector<SampledRpc> out;
-  out.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    out.push_back(Sample());
-  }
-  return out;
-}
-
 }  // namespace rpcscope

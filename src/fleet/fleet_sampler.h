@@ -55,9 +55,6 @@ class FleetSampler {
   // Samples one RPC of the given method.
   SampledRpc SampleMethod(int32_t method_id);
 
-  // Convenience: n popularity-weighted spans.
-  std::vector<SampledRpc> SampleMany(int64_t n);
-
   // Effective compression ratio the model assumes for a method's payloads.
   static double AssumedCompressionRatio(const MethodModel& m);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
 
 #include "src/common/distributions.h"
 

@@ -52,12 +52,6 @@ class Topology {
   ClusterId ClusterOf(MachineId machine) const;
   int LocalIndexOf(MachineId machine) const;
 
-  int MetroOf(ClusterId cluster) const { return cluster_metro_[static_cast<size_t>(cluster)]; }
-  int DatacenterOf(ClusterId cluster) const {
-    return cluster_datacenter_[static_cast<size_t>(cluster)];
-  }
-  int ContinentOfMetro(int metro) const { return metro_continent_[static_cast<size_t>(metro)]; }
-
   DistanceClass Distance(MachineId a, MachineId b) const;
   DistanceClass ClusterDistance(ClusterId a, ClusterId b) const;
 

@@ -86,11 +86,6 @@ using CallCallback = std::function<void(const CallResult& result, Payload respon
 struct ServerReply {
   Status status;
   WireFrame response_frame;
-  // Server-streaming responses (§2.1 excludes these from Dapper sampling;
-  // rpcscope implements them as an extension): number of chunks delivered and
-  // the total on-wire bytes across all chunks. chunk_count == 0 means unary.
-  int chunk_count = 0;
-  int64_t stream_wire_bytes = 0;
   SimDuration recv_queue = 0;  // rx processing + wait for an app worker.
   SimDuration app_time = 0;
   SimDuration send_queue = 0;

@@ -105,8 +105,6 @@ class Channel {
   const std::string& service_name() const { return service_name_; }
   // The active (post-subsetting) backend list under the policy in force.
   const std::vector<MachineId>& backends() const { return backends_; }
-  // The full configured backend list, independent of subsetting.
-  const std::vector<MachineId>& all_backends() const { return all_backends_; }
   int64_t outstanding(size_t backend_index) const {
     return outstanding_[active_[backend_index]];
   }

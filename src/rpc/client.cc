@@ -446,11 +446,8 @@ void Client::OnReply(std::shared_ptr<CallState> st, std::shared_ptr<Attempt> att
   att->bd[RpcComponent::kResponseProcStack] = reply.resp_proc;
   att->bd[RpcComponent::kResponseWire] = reply.resp_wire;
   att->cycles.Accumulate(reply.server_cycles);
-  const bool streamed = reply.chunk_count > 0;
-  att->response_wire_bytes =
-      streamed ? reply.stream_wire_bytes : reply.response_frame.wire_bytes;
-  att->response_payload_bytes =
-      reply.response_frame.payload_bytes * std::max(reply.chunk_count, 1);
+  att->response_wire_bytes = reply.response_frame.wire_bytes;
+  att->response_payload_bytes = reply.response_frame.payload_bytes;
 
   const CycleCostModel& costs = system_->costs();
   const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(st->tax_profile);
@@ -469,15 +466,6 @@ void Client::OnReply(std::shared_ptr<CallState> st, std::shared_ptr<Attempt> att
                 .send = false});
     rx_cost = rx.host;
     rx_device_cycles = rx.device_cycles;
-  }
-  if (streamed) {
-    // Per-chunk receive costs: the client decodes every chunk.
-    CycleBreakdown total;
-    for (int c = 0; c < reply.chunk_count; ++c) {
-      total.Accumulate(rx_cost);
-    }
-    rx_cost = total;
-    rx_device_cycles *= reply.chunk_count;
   }
   att->device_cycles += rx_device_cycles + reply.device_cycles;
   const SimDuration rx_dev_time = profile.DeviceTime(rx_device_cycles);

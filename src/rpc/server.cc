@@ -54,10 +54,6 @@ void ServerCall::Finish(Status status, Payload response) {
   server_->FinishCall(this, std::move(status), std::move(response));
 }
 
-void ServerCall::FinishStream(Status status, Payload chunk, int num_chunks) {
-  server_->FinishStreamCall(this, std::move(status), std::move(chunk), num_chunks);
-}
-
 Server::Server(RpcSystem* system, MachineId machine, const ServerOptions& options)
     : system_(system),
       machine_(machine),
@@ -434,85 +430,6 @@ void Server::FinishCall(ServerCall* call, Status status, Payload response) {
           return;
         }
         RespondInflight(fl, std::move(reply), wire_bytes);
-      });
-}
-
-void Server::FinishStreamCall(ServerCall* call, Status status, Payload chunk,
-                              int num_chunks) {
-  assert(!call->finished_);
-  assert(num_chunks >= 1);
-  call->finished_ = true;
-  std::shared_ptr<InflightCall> fl = call->inflight_;
-  if (fl->responded) {
-    call->self_.reset();
-    return;
-  }
-  const CycleCostModel& costs = system_->costs();
-  const SimTime now = shard_->sim().Now();
-  const SimDuration app_time = now - call->app_start_;
-  call->cycles_[CycleCategory::kApplication] +=
-      ToSeconds(app_time) * costs.cycles_per_second * machine_speed_;
-  app_pool_.Release();
-  ++requests_served_;
-  const double sample_ns = static_cast<double>(app_time);
-  app_time_ewma_ns_ =
-      app_time_ewma_ns_ == 0 ? sample_ns : 0.9 * app_time_ewma_ns_ + 0.1 * sample_ns;
-
-  // Every chunk is a full message: per-chunk framing/stack/library costs are
-  // what make streams more expensive per byte than one big unary response.
-  WireFrame frame =
-      EncodeFrame(chunk, system_->options().encryption_key, call->span_id_ ^ 0x3, scratch_);
-  // Each chunk is priced under the profile resolved at delivery time; with
-  // an offloading profile every chunk crosses the device, so the stream's
-  // device cycles scale with chunk count just like its host-side tax.
-  const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(fl->tax_profile);
-  const ProfileCost per_chunk = profile.MessageCost(
-      costs, {.payload_bytes = frame.payload_bytes, .wire_bytes = frame.wire_bytes, .send = true});
-  CycleBreakdown tx_cost;
-  double tx_device_cycles = 0;
-  for (int c = 0; c < num_chunks; ++c) {
-    tx_cost.Accumulate(per_chunk.host);
-    tx_device_cycles += per_chunk.device_cycles;
-  }
-  SimDuration tx_dev_time = 0;
-  if (tx_device_cycles > 0) {
-    device_cycles_ += tx_device_cycles;
-    device_cycles_counter_->Increment(tx_device_cycles);
-    tx_dev_time = profile.DeviceTime(tx_device_cycles);
-  }
-  call->cycles_.Accumulate(tx_cost);
-  // The tx worker is held for the whole stream (chunks go out back-to-back).
-  const SimDuration tx_time = costs.CyclesToDuration(tx_cost.TaxTotal(), machine_speed_);
-  const int64_t total_wire = frame.wire_bytes * num_chunks;
-
-  std::shared_ptr<ServerCall> self = call->self_;
-  tx_pool_.Submit(
-      tx_time, [this, self, fl, status = std::move(status), frame = std::move(frame), app_time,
-                num_chunks, total_wire, tx_device_cycles,
-                tx_dev_time](SimDuration tx_wait, SimDuration tx_service) mutable {
-        ServerReply reply;
-        reply.status = std::move(status);
-        reply.recv_queue = self->recv_queue_;
-        reply.app_time = app_time;
-        reply.send_queue = tx_wait == ServerResource::kRejected ? 0 : tx_wait;
-        reply.resp_proc = tx_service;
-        reply.server_cycles = self->cycles_;
-        reply.device_cycles = fl->rx_device_cycles + tx_device_cycles;
-        reply.response_frame = std::move(frame);
-        reply.chunk_count = num_chunks;
-        reply.stream_wire_bytes = total_wire;
-        self->self_.reset();
-        // The wire carries all chunks; bandwidth delay scales with the total.
-        if (tx_dev_time > 0) {
-          accel_pool_.Submit(tx_dev_time,
-                             [this, fl, reply = std::move(reply), total_wire](
-                                 SimDuration dev_wait, SimDuration dev_service) mutable {
-                               reply.resp_proc += dev_wait + dev_service;
-                               RespondInflight(fl, std::move(reply), total_wire);
-                             });
-          return;
-        }
-        RespondInflight(fl, std::move(reply), total_wire);
       });
 }
 

@@ -63,12 +63,6 @@ class ServerCall {
   // Completes the call. Consumes the context's one completion.
   void Finish(Status status, Payload response);
 
-  // Server-streaming completion: delivers `num_chunks` copies of `chunk`
-  // back-to-back. Each chunk pays the full per-message stack cost (framing,
-  // network stack, RPC library), which is what distinguishes a stream from
-  // one large unary response of the same total size.
-  void FinishStream(Status status, Payload chunk, int num_chunks);
-
  private:
   friend class Server;
 
@@ -157,8 +151,6 @@ class Server {
 
   // Exogenous-state knobs (adjustable while running).
   void set_app_speed_factor(double f) { options_.app_speed_factor = f; }
-  void set_wakeup_latency(SimDuration d) { options_.wakeup_latency = d; }
-  void set_shed_on_deadline(bool shed) { options_.shed_on_deadline = shed; }
 
   // Utilization accounting.
   double AppUtilization(SimDuration elapsed);
@@ -184,7 +176,6 @@ class Server {
   using InflightCall = ServerCall::InflightCall;
 
   void FinishCall(ServerCall* call, Status status, Payload response);
-  void FinishStreamCall(ServerCall* call, Status status, Payload chunk, int num_chunks);
 
   // All response traffic funnels through here: marks the call responded,
   // drops it from the in-flight registry, and puts the reply on the wire.

@@ -1,6 +1,5 @@
 #include "src/sim/server_resource.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -111,7 +110,8 @@ Status ServerResource::CheckpointTo(CheckpointWriter& w) const {
   }
   // last_change_ may exceed the (resynced) clock here: the pool's final
   // Release of the drain can land past the epoch boundary. With zero busy
-  // workers the value is inert — restore clamps it to the restored clock.
+  // workers the value is inert — the next UpdateBusyTime overwrites it — and
+  // restore keeps it as written.
   w.BeginSection("server_resource");
   w.WriteU32(static_cast<uint32_t>(options_.workers));
   w.WriteU64(options_.max_queue_depth);
@@ -158,10 +158,11 @@ Status ServerResource::RestoreFrom(CheckpointReader& r) {
   jobs_dropped_ = jobs_dropped;
   epoch_ = epoch;
   busy_time_ = busy_time;
-  // The snapshot's last_change can sit past the barrier (final drain Release);
-  // it is inert while idle, so pin it at the restored clock to keep the
-  // accounting's monotonic fast path intact.
-  last_change_ = std::min(last_change, sim_->Now());
+  // The snapshot's last_change can sit past the barrier (final drain Release).
+  // It is inert while idle, since UpdateBusyTime overwrites it on the next
+  // change. Keeping it as saved makes every later checkpoint of a resumed run
+  // byte-identical to the uninterrupted run's.
+  last_change_ = last_change;
   return Status::Ok();
 }
 

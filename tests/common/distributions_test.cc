@@ -2,32 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-
-#include "src/common/stats.h"
+#include <array>
 
 namespace rpcscope {
 namespace {
-
-TEST(LognormalDistTest, QuantileInvertsMedian) {
-  LognormalDist d = LognormalDist::FromMedianSigma(10.0, 1.2);
-  EXPECT_NEAR(d.Quantile(0.5), 10.0, 1e-6);
-  EXPECT_GT(d.Quantile(0.99), 10.0);
-  EXPECT_LT(d.Quantile(0.01), 10.0);
-}
-
-TEST(LognormalDistTest, SampledQuantilesMatchAnalytic) {
-  Rng rng(5);
-  LognormalDist d = LognormalDist::FromMedianSigma(3.0, 0.8);
-  std::vector<double> samples(200000);
-  for (auto& s : samples) {
-    s = d.Sample(rng);
-  }
-  std::sort(samples.begin(), samples.end());
-  EXPECT_NEAR(SortedQuantile(samples, 0.5), d.Quantile(0.5), 0.1);
-  EXPECT_NEAR(SortedQuantile(samples, 0.9) / d.Quantile(0.9), 1.0, 0.05);
-}
 
 TEST(QuantileCurveTest, InterpolatesAnchorsExactly) {
   QuantileCurve curve({{0.1, 1.0}, {0.5, 10.0}, {0.9, 100.0}}, 0.01, 1e6);
@@ -58,22 +36,6 @@ TEST(QuantileCurveTest, MonotoneInProbability) {
     EXPECT_GE(q, prev) << p;
     prev = q;
   }
-}
-
-TEST(MixtureDistTest, RespectsWeights) {
-  std::vector<std::unique_ptr<Distribution>> parts;
-  parts.push_back(std::make_unique<ConstantDist>(1.0));
-  parts.push_back(std::make_unique<ConstantDist>(100.0));
-  MixtureDist mix(std::move(parts), {0.75, 0.25});
-  Rng rng(77);
-  int low = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (mix.Sample(rng) < 50) {
-      ++low;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(low) / n, 0.75, 0.01);
 }
 
 TEST(DiscreteDistTest, MatchesWeights) {
@@ -113,26 +75,6 @@ TEST(ZipfWeightsTest, DecreasingAndPositive) {
     EXPECT_GT(w[i], 0);
   }
 }
-
-// Property sweep: QuantileCurve sampling reproduces its own quantile function.
-class QuantileCurveSampleTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(QuantileCurveSampleTest, SampleQuantilesMatchCurve) {
-  const double p = GetParam();
-  QuantileCurve curve({{0.05, 0.2}, {0.5, 15.0}, {0.95, 900.0}}, 1e-3, 1e6);
-  Rng rng(static_cast<uint64_t>(p * 1000) + 3);
-  std::vector<double> samples(120000);
-  for (auto& s : samples) {
-    s = curve.Sample(rng);
-  }
-  std::sort(samples.begin(), samples.end());
-  const double expected = curve.Quantile(p);
-  const double measured = SortedQuantile(samples, p);
-  EXPECT_NEAR(measured / expected, 1.0, 0.08) << "p=" << p;
-}
-
-INSTANTIATE_TEST_SUITE_P(Quantiles, QuantileCurveSampleTest,
-                         ::testing::Values(0.1, 0.25, 0.5, 0.75, 0.9, 0.99));
 
 }  // namespace
 }  // namespace rpcscope

@@ -76,13 +76,6 @@ TEST(RngTest, LognormalMedianMatches) {
   EXPECT_NEAR(samples[50000], 42.0, 1.5);
 }
 
-TEST(RngTest, ParetoAtLeastScale) {
-  Rng rng(19);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(rng.NextPareto(3.0, 1.5), 3.0);
-  }
-}
-
 TEST(RngTest, PoissonMeanMatchesSmallAndLarge) {
   Rng rng(23);
   for (double mean : {0.5, 4.0, 200.0}) {

@@ -4,13 +4,17 @@
 // cadenced run — same event digest, same streamed AggregateDigest — across
 // worker counts and seeds, with an active chaos FaultPlan, and even when the
 // newest checkpoint has been corrupted (resume falls back one barrier and
-// replays from there).
+// replays from there). The checkpoints a resumed run writes are byte-identical
+// to the uninterrupted run's.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/checkpoint/checkpoint.h"
@@ -245,6 +249,56 @@ TEST(CheckpointResume, PolicyRolloutSurvivesKillAndResume) {
   const MiniFleetResult fresh =
       MustRun(other, {.dir = dir, .every = kEvery, .resume = true});
   EXPECT_FALSE(fresh.resumed);
+}
+
+// Every file of every committed checkpoint under `dir` as ("<ckpt-dir>/<file>",
+// bytes), sorted by name so two stores compare file by file.
+std::vector<std::pair<std::string, std::string>> StoreFiles(const std::string& dir) {
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const std::string& ckpt : ListCheckpoints(dir)) {
+    for (const fs::directory_entry& entry : fs::directory_iterator(ckpt)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      files.emplace_back(fs::path(ckpt).filename().string() + "/" +
+                             entry.path().filename().string(),
+                         std::string(std::istreambuf_iterator<char>(in), {}));
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST(CheckpointResume, ResumedRunWritesTheUninterruptedCheckpointBytes) {
+  // The checkpoints a resumed run writes after its restore barrier must be
+  // byte-identical to the uninterrupted run's, not only its digests: an idle
+  // resource's busy-accounting timestamp may sit past the barrier, and a
+  // restore that rewrote it showed up in every later shard file.
+  MiniFleetOptions options = FleetOptions(/*seed=*/5, /*workers=*/2, nullptr);
+  options.duration = Millis(2000);
+  PolicySnapshot stage;
+  stage.defaults.attempt_timeout = Millis(50);
+  stage.defaults.max_retries = 1;
+  options.policy.AddStage(options.duration / 2, stage);
+  const SimDuration every = Millis(250);  // 7 barrier checkpoints.
+
+  const std::string reference_dir = FreshDir("bytes_reference");
+  const MiniFleetResult reference = MustRun(options, {.dir = reference_dir, .every = every});
+  ASSERT_EQ(reference.checkpoints_written, 7u);
+
+  const std::string dir = FreshDir("bytes_resumed");
+  const MiniFleetResult killed =
+      MustRun(options, {.dir = dir, .every = every, .stop_after_epochs = 4});
+  EXPECT_TRUE(killed.interrupted);
+  const MiniFleetResult resumed = MustRun(options, {.dir = dir, .every = every, .resume = true});
+  EXPECT_EQ(resumed.resumed_epoch, 4u);
+  ExpectSameRun(resumed, reference);
+
+  const auto expected = StoreFiles(reference_dir);
+  const auto got = StoreFiles(dir);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, expected[i].first);
+    EXPECT_TRUE(got[i].second == expected[i].second) << got[i].first << " differs";
+  }
 }
 
 TEST(CheckpointResume, RetentionBoundsTheStore) {

@@ -12,7 +12,6 @@
 
 #include "src/fleet/mini_fleet.h"
 #include "src/rpc/client.h"
-#include "src/rpc/codec.h"
 #include "src/rpc/server.h"
 #include "src/rpc/stage_model.h"
 
@@ -303,99 +302,6 @@ TEST_F(OffloadDesTest, UnknownProfileIdPricesLikeUnset) {
   ASSERT_TRUE(b.status.ok());
   EXPECT_EQ(a.cycles.TaxTotal(), b.cycles.TaxTotal());
   EXPECT_EQ(a.latency.Total(), b.latency.Total());
-}
-
-// A server-streamed response under a profile: the server prices every chunk
-// on send and the client every chunk on receive.
-class OffloadStreamTest : public OffloadDesTest {
- protected:
-  static constexpr int64_t kChunkBytes = 3000;
-
-  struct StreamRun {
-    CallResult result;
-    double server_device = 0;
-    // The client's own device cycles: its total minus the server's echoed
-    // share.
-    double client_device = 0;
-  };
-
-  static StreamRun RunStream(int32_t tax_profile, int chunks) {
-    RpcSystem system(MakeOptions(tax_profile));
-    const MachineId client_machine = system.topology().MachineAt(0, 0);
-    const MachineId server_machine = system.topology().MachineAt(0, 1);
-    Server server(&system, server_machine, ServerOptions{});
-    server.RegisterMethod(kEcho, "Stream", [chunks](std::shared_ptr<ServerCall> call) {
-      call->Compute(Micros(100), [call, chunks]() {
-        call->FinishStream(Status::Ok(), Payload::Modeled(kChunkBytes, 1.0), chunks);
-      });
-    });
-    Client client(&system, client_machine, ClientOptions{});
-    StreamRun run;
-    client.Call(server_machine, kEcho, Payload::Modeled(256), {},
-                [&](const CallResult& result, Payload) { run.result = result; });
-    system.sim().Run();
-    run.server_device = server.device_cycles();
-    run.client_device = client.device_cycles() - server.device_cycles();
-    return run;
-  }
-};
-
-TEST_F(OffloadStreamTest, RpcAccChargesEveryChunkOnBothEndpoints) {
-  const ProfileCatalog& catalog = BuiltinProfileCatalog();
-  const int32_t rpcacc_id = catalog.IdOf(kProfileRpcAcc);
-  const TaxProfile* rpcacc = catalog.Get(rpcacc_id);
-  ASSERT_NE(rpcacc, nullptr);
-  std::vector<StreamRun> runs;
-  for (const int chunks : {1, 2, 3}) {
-    runs.push_back(RunStream(rpcacc_id, chunks));
-    ASSERT_TRUE(runs.back().result.status.ok()) << chunks;
-  }
-  // What one more chunk costs each endpoint under the profile.
-  const WireFrame chunk = EncodeFrame(Payload::Modeled(kChunkBytes, 1.0), /*key=*/0, /*nonce=*/0);
-  ASSERT_EQ(runs[0].result.response_wire_bytes, chunk.wire_bytes);
-  const CycleCostModel costs;
-  const ProfileCost send = rpcacc->MessageCost(
-      costs, {.payload_bytes = chunk.payload_bytes, .wire_bytes = chunk.wire_bytes, .send = true});
-  const ProfileCost recv = rpcacc->MessageCost(
-      costs, {.payload_bytes = chunk.payload_bytes, .wire_bytes = chunk.wire_bytes, .send = false});
-  ASSERT_GT(send.device_cycles, 0.0);
-  ASSERT_GT(recv.device_cycles, 0.0);
-
-  auto expect_steps = [&runs](const char* what, auto value, double step) {
-    const double tolerance = 1e-9 * value(runs[2]);
-    EXPECT_NEAR(value(runs[1]) - value(runs[0]), step, tolerance) << what;
-    EXPECT_NEAR(value(runs[2]) - value(runs[1]), step, tolerance) << what;
-  };
-  expect_steps("server device cycles", [](const StreamRun& r) { return r.server_device; },
-               send.device_cycles);
-  expect_steps("client device cycles", [](const StreamRun& r) { return r.client_device; },
-               recv.device_cycles);
-  // Host tax: the server sends and the client receives every chunk.
-  expect_steps("host tax", [](const StreamRun& r) { return r.result.cycles.TaxTotal(); },
-               send.host.TaxTotal() + recv.host.TaxTotal());
-}
-
-TEST_F(OffloadStreamTest, BaselinePinnedStreamEqualsUnsetStream) {
-  const int32_t baseline = BuiltinProfileCatalog().IdOf(kProfileBaseline);
-  for (const int chunks : {1, 2, 3}) {
-    SCOPED_TRACE("chunks=" + std::to_string(chunks));
-    const StreamRun unset = RunStream(-1, chunks);
-    const StreamRun pinned = RunStream(baseline, chunks);
-    ASSERT_TRUE(unset.result.status.ok());
-    ASSERT_TRUE(pinned.result.status.ok());
-    for (int i = 0; i < kNumRpcComponents; ++i) {
-      EXPECT_EQ(unset.result.latency.components[static_cast<size_t>(i)],
-                pinned.result.latency.components[static_cast<size_t>(i)])
-          << RpcComponentName(static_cast<RpcComponent>(i));
-    }
-    for (int i = 0; i < kNumCycleCategories; ++i) {
-      EXPECT_EQ(unset.result.cycles.cycles[static_cast<size_t>(i)],
-                pinned.result.cycles.cycles[static_cast<size_t>(i)])
-          << CycleCategoryName(static_cast<CycleCategory>(i));
-    }
-    EXPECT_EQ(pinned.server_device, 0.0);
-    EXPECT_EQ(pinned.client_device, 0.0);
-  }
 }
 
 // --- Mini-fleet digests: the baseline profile is invisible; an offload

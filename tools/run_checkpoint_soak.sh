@@ -4,8 +4,10 @@
 # — once with a real SIGKILL while epochs are still executing, once at a
 # deterministic barrier via --stop-after-epochs — resumes from the on-disk
 # snapshot, and diffs the final event digest and streamed AggregateDigest
-# against an uninterrupted run of the same configuration. Any mismatch or
-# crash fails the script. CI runs this in Release and ASan/UBSan legs.
+# against an uninterrupted run of the same configuration. After each barrier
+# stop it also diffs every committed checkpoint directory against the
+# uninterrupted run's: a resumed run must write the same bytes. Any mismatch
+# or crash fails the script. CI runs this in Release and ASan/UBSan legs.
 #
 # Usage: tools/run_checkpoint_soak.sh
 # Env knobs: BUILD_DIR, SOAK_DURATION_MS, SOAK_EVERY_MS, SOAK_WORKERS,
@@ -39,6 +41,30 @@ digests() {
   awk -F= '/^event_digest=/ {e=$2} /^streamed_digest=/ {s=$2} END {print e, s}' "$1"
 }
 
+# same_checkpoints <dir> <ref-dir>: every committed ckpt-* directory under
+# <dir> is byte-identical (diff -r) to the one of the same name under
+# <ref-dir>, and both hold the same number of them. Prints what differs.
+same_checkpoints() {
+  local dir="$1" ref="$2" ckpt name count=0 ref_count=0 rc=0
+  for ckpt in "$dir"/ckpt-*; do
+    name="$(basename "$ckpt")"
+    [[ -d "$ckpt" && "$name" != *.tmp ]] || continue
+    count=$((count + 1))
+    if ! diff -r -q "$ckpt" "$ref/$name" >/dev/null 2>&1; then
+      echo -n " $name"
+      rc=1
+    fi
+  done
+  for ckpt in "$ref"/ckpt-*; do
+    [[ -d "$ckpt" && "$ckpt" != *.tmp ]] && ref_count=$((ref_count + 1))
+  done
+  if [[ "$count" -ne "$ref_count" ]]; then
+    echo -n " ($count checkpoints, reference has $ref_count)"
+    rc=1
+  fi
+  return "$rc"
+}
+
 # Prints "version stages" from a run's policy_version= line.
 policy_state() {
   awk '/^policy_version=/ {
@@ -58,9 +84,11 @@ for mode in $CHAOS_MODES; do
               --workers="$w" --seed="$seed")
       [[ ${#mode_flags[@]} -gt 0 ]] && common+=("${mode_flags[@]}")
 
-      # Uninterrupted cadenced reference (no checkpoint dir: nothing written).
+      # Uninterrupted cadenced reference. Its checkpoints are what legs 2
+      # and 3 compare the resumed runs' checkpoints against.
       ref_out="$WORK/ref-$mode-$w-$seed.txt"
-      "$FLEET" "${common[@]}" >"$ref_out"
+      ref_dir="$WORK/ref-$mode-$w-$seed"
+      "$FLEET" "${common[@]}" --checkpoint-dir="$ref_dir" >"$ref_out"
       read -r ref_event ref_streamed < <(digests "$ref_out")
       if [[ -z "$ref_event" || -z "$ref_streamed" ]]; then
         echo "FAIL [$label]: reference run produced no digests" >&2
@@ -125,6 +153,12 @@ for mode in $CHAOS_MODES; do
         failures=$((failures + 1))
         continue
       fi
+      if ! bad="$(same_checkpoints "$dir2" "$ref_dir")"; then
+        echo "FAIL [$label] barrier leg: checkpoints differ from the uninterrupted" \
+             "run's:$bad" >&2
+        failures=$((failures + 1))
+        continue
+      fi
 
       # Leg 3 (rollout only): stop at a barrier *past* the midpoint swap, so
       # the resume restores an engine whose rollout already applied, and the
@@ -152,6 +186,12 @@ for mode in $CHAOS_MODES; do
           failures=$((failures + 1))
           continue
         fi
+        if ! bad="$(same_checkpoints "$dir3" "$ref_dir")"; then
+          echo "FAIL [$label] post-swap leg: checkpoints differ from the uninterrupted" \
+               "run's:$bad" >&2
+          failures=$((failures + 1))
+          continue
+        fi
       fi
       echo "OK   [$label] event=$ref_event streamed=$ref_streamed"
     done
@@ -162,4 +202,4 @@ if [[ "$failures" -ne 0 ]]; then
   echo "checkpoint soak: $failures failure(s)" >&2
   exit 1
 fi
-echo "checkpoint soak: all digests matched"
+echo "checkpoint soak: all digests and resumed checkpoints matched"

@@ -8,15 +8,21 @@
 #   - fleet_study --policy-rollout=demo --colocate (the colocated fast path);
 #   - fleet_study with no flags (its catalog-scan mode);
 #   - examples/offload_whatif 10 (every tax profile over the catalog);
-#   - the stdout of every scan-fed figure binary (fig02, fig03, fig06, fig07,
-#     fig08, fig11, fig12, fig13, fig20, fig21, fig23: FleetSampler draws,
-#     the scan and the analyzers), of calibration_report, of every
-#     RunServiceStudy figure (fig14 to fig19: the single-domain DES, its
-#     arrival processes and pricing) and of ext_minifleet (the single-domain
-#     RunMiniFleet; every fleet_study run above uses 8 shards).
+#   - the stdout of all 23 figure rows, Table 1 included: the scan-fed ones
+#     (FleetSampler draws, the scan and the analyzers), the RunServiceStudy
+#     ones (fig14 to fig19: the single-domain DES, its arrival processes and
+#     pricing), the growth model, call-tree shapes and load balancing;
+#   - the stdout of calibration_report and of ext_minifleet (the
+#     single-domain RunMiniFleet; every fleet_study run above uses 8 shards).
 # A change that keeps "every digest unchanged" runs it against its parent.
 # The DES figures make it slow: about 12 minutes on a 4-core host, builds
 # included.
+#
+# A tree with bench/figures.cc prints figure NAME with
+# `rpcscope_figures --fig=NAME`; an older tree has one binary per figure,
+# named NAME. Either way the output lands in NAME.txt, so the two revisions
+# compare across the rename. The per-figure branch can go once no base
+# revision predates the driver.
 #
 # Usage: tools/run_digest_parity.sh <base-rev>
 # Both builds and all outputs go in a temporary directory under TMPDIR
@@ -30,11 +36,11 @@ fi
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 SEEDS="5 11 23"
-BENCH_BINS=(fig02_latency fig03_popularity fig06_sizes fig07_ratio fig08_services fig11_taxratio
-            fig12_network fig13_queuing fig20_cycletax fig21_cycles fig23_errors calibration_report
-            fig14_breakdown fig15_whatif fig16_clusters fig17_exogenous fig18_diurnal
-            fig19_crosscluster ext_minifleet)
-TARGETS=(fleet_study offload_whatif "${BENCH_BINS[@]}")
+FIGURES=(fig01_growth fig02_latency fig03_popularity fig04_descendants fig05_ancestors fig06_sizes
+         fig07_ratio fig08_services table1_services fig10_tax fig11_taxratio fig12_network
+         fig13_queuing fig14_breakdown fig15_whatif fig16_clusters fig17_exogenous fig18_diurnal
+         fig19_crosscluster fig20_cycletax fig21_cycles fig22_loadbalance fig23_errors)
+BENCH_BINS=(calibration_report ext_minifleet)
 
 if ! BASE_SHA="$(git -C "$ROOT" rev-parse --verify --quiet "$1^{commit}")"; then
   echo "ERROR: '$1' is not a commit in $ROOT" >&2
@@ -49,22 +55,34 @@ trap 'rm -rf "$WORK"' EXIT
 mkdir "$WORK/base-src"
 git -C "$ROOT" archive "$BASE_SHA" | tar -x -C "$WORK/base-src"
 
+# has_driver <source-dir>: whether the tree builds rpcscope_figures.
+has_driver() {
+  [[ -f "$1/bench/figures.cc" ]]
+}
+
 # build <source-dir> <build-dir>
 build() {
   echo "building $1 (Release) ..."
+  local targets=(fleet_study offload_whatif "${BENCH_BINS[@]}")
+  if has_driver "$1"; then
+    targets+=(rpcscope_figures)
+  else
+    targets+=("${FIGURES[@]}")
+  fi
   if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release &&
-         cmake --build "$2" -j"$(nproc)" --target "${TARGETS[@]}"; } >"$2.log" 2>&1; then
+         cmake --build "$2" -j"$(nproc)" --target "${targets[@]}"; } >"$2.log" 2>&1; then
     tail -n 30 "$2.log" >&2
     echo "ERROR: build of $1 failed" >&2
     exit 1
   fi
 }
 
-# run_outputs <build-dir> <out-dir>: every output lands under <out-dir> with
-# the same relative names, so one diff -r compares the two revisions. A
-# non-zero exit is recorded in the output rather than aborting the run.
+# run_outputs <source-dir> <build-dir> <out-dir>: every output lands under
+# <out-dir> with the same relative names, so one diff -r compares the two
+# revisions. A non-zero exit is recorded in the output rather than aborting
+# the run.
 run_outputs() {
-  local bin="$1" out="$2"
+  local src="$1" bin="$2" out="$3"
   mkdir -p "$out"
   cd "$out"
   for mode in plain chaos rollout; do
@@ -82,8 +100,15 @@ run_outputs() {
     echo "exit=$?" >>policy_rollout_colocate.txt
   "$bin/examples/fleet_study" >fleet_scan.txt 2>&1 || echo "exit=$?" >>fleet_scan.txt
   "$bin/examples/offload_whatif" 10 >offload_whatif.txt 2>&1 || echo "exit=$?" >>offload_whatif.txt
-  for fig in "${BENCH_BINS[@]}"; do
-    "$bin/bench/$fig" >"$fig.txt" 2>&1 || echo "exit=$?" >>"$fig.txt"
+  for fig in "${FIGURES[@]}"; do
+    if has_driver "$src"; then
+      "$bin/bench/rpcscope_figures" --fig="$fig" >"$fig.txt" 2>&1 || echo "exit=$?" >>"$fig.txt"
+    else
+      "$bin/bench/$fig" >"$fig.txt" 2>&1 || echo "exit=$?" >>"$fig.txt"
+    fi
+  done
+  for b in "${BENCH_BINS[@]}"; do
+    "$bin/bench/$b" >"$b.txt" 2>&1 || echo "exit=$?" >>"$b.txt"
   done
   cd - >/dev/null
 }
@@ -96,8 +121,8 @@ digests() {
 build "$WORK/base-src" "$WORK/base-build"
 build "$ROOT" "$WORK/head-build"
 echo "running outputs ..."
-run_outputs "$WORK/base-build" "$WORK/out-base"
-run_outputs "$WORK/head-build" "$WORK/out-head"
+run_outputs "$WORK/base-src" "$WORK/base-build" "$WORK/out-base"
+run_outputs "$ROOT" "$WORK/head-build" "$WORK/out-head"
 
 echo "fleet_study digests, event streamed (base ${BASE_SHA:0:12} | working tree):"
 for f in "$WORK"/out-base/fleet-*.txt; do
