@@ -200,8 +200,9 @@ int main(int argc, char** argv) {
   // --- Tail latency of successful calls.
   TextTable tail({"quantile", "undefended", "defended"});
   for (const double q : {0.50, 0.90, 0.99, 0.999}) {
-    tail.AddRow({"p" + std::to_string(static_cast<int>(q * 1000)),
-                 Quantile(off.ok_latency_us, q), Quantile(on.ok_latency_us, q)});
+    std::string label = "p";
+    label += std::to_string(static_cast<int>(q * 1000));
+    tail.AddRow({label, Quantile(off.ok_latency_us, q), Quantile(on.ok_latency_us, q)});
   }
   std::printf("== successful-call latency ==\n%s\n", tail.Render().c_str());
 

@@ -1,8 +1,8 @@
 #include "src/fleet/mini_fleet.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
 #include "src/checkpoint/checkpoint.h"
@@ -10,6 +10,7 @@
 #include "src/common/digest.h"
 #include "src/common/logging.h"
 #include "src/fault/injector.h"
+#include "src/fleet/service_study.h"
 #include "src/fleet/workload.h"
 
 namespace rpcscope {
@@ -18,21 +19,64 @@ namespace {
 
 constexpr MethodId kServe = 1;
 
+// What the mini-fleet adds to a Table-1 service's study preset
+// (MakeStudyConfig): its replica count and at most one dependency edge to
+// `callee` (Table 1 names each service's client). A fan-out issues `fanout`
+// parallel children before the compute, as partition/aggregate does; a miss
+// issues one child after it with probability `miss`, since a lookup learns
+// that it missed only once it ran.
+struct DeploymentSpec {
+  int32_t StudiedServices::*service;
+  int replicas;
+  int32_t StudiedServices::*callee = nullptr;
+  double miss = 0;
+  int fanout = 0;
+};
+
+// Bottom-up, so every callee is deployed before its callers. The order fixes
+// the placement RNG forks and the per-shard checkpoint layout. Network Disk
+// comes first, so that machines 1 and 2, which fleet_study's chaos plan
+// crashes and slows, are its replicas.
+constexpr DeploymentSpec kDeployments[] = {
+    {&StudiedServices::network_disk, 3},
+    {&StudiedServices::bigtable, 2, &StudiedServices::network_disk, 0.45},  // Memtable miss.
+    {&StudiedServices::kv_store, 2, &StudiedServices::bigtable, 0.20},  // Backing-store miss.
+    {&StudiedServices::ssd_cache, 3},
+    {&StudiedServices::bigquery, 4, &StudiedServices::ssd_cache, 0, 4},  // Partition/aggregate.
+    {&StudiedServices::video_metadata, 2},
+    {&StudiedServices::spanner, 2, &StudiedServices::network_disk, 0.3},  // Storage read.
+    {&StudiedServices::f1, 2, &StudiedServices::spanner, 0.5},  // Reads through Spanner.
+    {&StudiedServices::ml_inference, 2},
+};
+
+// The frontend entry points, each driving its Table-1 server.
+constexpr int32_t StudiedServices::*kFrontendTargets[] = {
+    &StudiedServices::kv_store,        // Recommendation service.
+    &StudiedServices::bigquery,        // Analyst queries.
+    &StudiedServices::video_metadata,  // Video Search.
+    &StudiedServices::f1,              // F1 ("process data packet").
+    &StudiedServices::ml_inference,    // ML client.
+    &StudiedServices::spanner,         // Network information service.
+};
+
 }  // namespace
 
-// One deployed service: a couple of replicas plus a co-located client for
-// issuing child RPCs from handlers. All replicas live in one cluster, so a
-// deployment belongs to exactly one shard domain and its client and RNG are
-// only ever touched from that domain. CheckpointTo/RestoreFrom cover the mutable
-// run state (handler RNG stream, server and client progress); the placement
-// (service id, machine list) is configuration, written only for validation.
+// One deployed service: its study preset, its replicas, its Table-1
+// dependency edge, and a co-located client for issuing child RPCs from
+// handlers. All replicas live in one cluster, so a deployment belongs to
+// exactly one shard domain and its client and RNG are only ever touched from
+// that domain. CheckpointTo/RestoreFrom cover the mutable run state (handler
+// RNG stream, server and client progress); the placement (service id,
+// machine list) is configuration, written only for validation.
 // RPCSCOPE_CHECKPOINTED(MiniFleetDeployment::CheckpointTo, MiniFleetDeployment::RestoreFrom)
 struct MiniFleetDeployment {
-  int32_t service_id = -1;
+  ServiceStudyConfig model;  // MakeStudyConfig's preset: compute, sizes, workers.
   std::vector<MachineId> machines;
   std::vector<std::unique_ptr<Server>> servers;
   std::shared_ptr<Client> client;  // Bound to machines[0].
   Rng rng{0};
+  const DeploymentSpec* spec = nullptr;   // NOLINT(detan-checkpoint-field) configuration
+  MiniFleetDeployment* callee = nullptr;  // NOLINT(detan-checkpoint-field) structural
 
   MachineId Pick(Rng& chooser) const { return machines[chooser.NextBounded(machines.size())]; }
 
@@ -42,7 +86,7 @@ struct MiniFleetDeployment {
 
 Status MiniFleetDeployment::CheckpointTo(CheckpointWriter& w) const {
   w.BeginSection("deployment");
-  w.WriteU32(static_cast<uint32_t>(service_id));
+  w.WriteU32(static_cast<uint32_t>(model.service_id));
   w.WriteU32(static_cast<uint32_t>(machines.size()));
   for (const MachineId m : machines) {
     w.WriteI64(m);
@@ -73,7 +117,7 @@ Status MiniFleetDeployment::RestoreFrom(CheckpointReader& r) {
   if (Status s = r.LeaveSection(); !s.ok()) {
     return s;
   }
-  if (saved_service != static_cast<uint32_t>(service_id) || saved_machines != machines) {
+  if (saved_service != static_cast<uint32_t>(model.service_id) || saved_machines != machines) {
     return FailedPreconditionError("deployment: checkpoint is for a different placement");
   }
   rng = saved_rng;
@@ -86,13 +130,12 @@ Status MiniFleetDeployment::RestoreFrom(CheckpointReader& r) {
 }
 
 // One frontend entry point: its client, replica-chooser stream, root-call
-// tally, and epoch-gated arrival process. The target/byte-size wiring is
-// configuration, written only for validation.
+// tally, and epoch-gated arrival process. The target and its request size
+// are configuration, written only for validation.
 // RPCSCOPE_CHECKPOINTED(MiniFleetFrontend::CheckpointTo, MiniFleetFrontend::RestoreFrom)
 struct MiniFleetFrontend {
   uint32_t index = 0;
-  MiniFleetDeployment* target = nullptr;  // NOLINT(detan-checkpoint-field) structural
-  int64_t request_bytes = 0;
+  MiniFleetDeployment* target = nullptr;
   MachineId machine = -1;
   std::unique_ptr<Client> client;
   Rng chooser{0};
@@ -106,7 +149,7 @@ struct MiniFleetFrontend {
 Status MiniFleetFrontend::CheckpointTo(CheckpointWriter& w) const {
   w.BeginSection("frontend");
   w.WriteU32(index);
-  w.WriteI64(request_bytes);
+  w.WriteI64(target->model.request_bytes);
   w.WriteI64(machine);
   WriteRngState(w, chooser);
   w.WriteU64(root_count);
@@ -131,7 +174,8 @@ Status MiniFleetFrontend::RestoreFrom(CheckpointReader& r) {
   if (Status s = r.LeaveSection(); !s.ok()) {
     return s;
   }
-  if (saved_index != index || saved_bytes != request_bytes || saved_machine != machine) {
+  if (saved_index != index || saved_bytes != target->model.request_bytes ||
+      saved_machine != machine) {
     return FailedPreconditionError("frontend: checkpoint is for a different entry point");
   }
   chooser = saved_chooser;
@@ -143,6 +187,52 @@ Status MiniFleetFrontend::RestoreFrom(CheckpointReader& r) {
 }
 
 namespace {
+
+// Issues a child call to the caller's callee, linked to the parent span,
+// inheriting the parent's remaining deadline and sized by the callee's study
+// request. Owned by the *calling* deployment — its client issues it and its
+// RNG picks the replica — because the handler executes in the caller's shard
+// domain and must not touch callee-shard state; the fabric is the only
+// cross-shard edge.
+void ChildCall(MiniFleetDeployment& caller, const std::shared_ptr<ServerCall>& parent,
+               CallCallback done) {
+  const MiniFleetDeployment& callee = *caller.callee;
+  CallOptions opts = parent->ChildOptions();
+  opts.service_id = callee.model.service_id;
+  caller.client->Call(callee.Pick(caller.rng), kServe,
+                      Payload::Modeled(callee.model.request_bytes), opts, std::move(done));
+}
+
+// Serves one call: the study's handler, with the deployment's edge around
+// it. Handlers capture only stable deployment pointers (owned by the fleet).
+void Serve(MiniFleetDeployment* d, const std::shared_ptr<ServerCall>& call) {
+  const int fanout = d->spec->fanout;
+  if (fanout > 0) {
+    auto pending = std::make_shared<int>(fanout);
+    for (int i = 0; i < fanout; ++i) {
+      ChildCall(*d, call, [d, call, pending](const CallResult&, Payload) {
+        if (--*pending == 0) {
+          ServeStudyCall(d->model, d->rng, call);
+        }
+      });
+    }
+    return;
+  }
+  if (d->callee == nullptr) {
+    ServeStudyCall(d->model, d->rng, call);
+    return;
+  }
+  ServeStudyCall(d->model, d->rng, call, [d, call]() {
+    const int64_t bytes = d->model.response_bytes;
+    if (d->rng.NextBool(d->spec->miss)) {
+      ChildCall(*d, call, [call, bytes](const CallResult&, Payload) {
+        call->Finish(Status::Ok(), Payload::Modeled(bytes));
+      });
+    } else {
+      call->Finish(Status::Ok(), Payload::Modeled(bytes));
+    }
+  });
+}
 
 RpcSystemOptions MakeSystemOptions(const MiniFleetOptions& options) {
   RpcSystemOptions sys_opts;
@@ -172,25 +262,15 @@ MiniFleet::MiniFleet(const ServiceCatalog& catalog, const MiniFleetOptions& opti
 
 MiniFleet::~MiniFleet() = default;
 
-void MiniFleet::ChildCall(MiniFleetDeployment& caller, MiniFleetDeployment& target,
-                          const std::shared_ptr<ServerCall>& parent, int64_t request_bytes,
-                          CallCallback done) {
-  CallOptions opts = parent->ChildOptions();
-  opts.service_id = target.service_id;
-  const MachineId machine = target.Pick(caller.rng);
-  caller.client->Call(machine, kServe, Payload::Modeled(request_bytes), opts, std::move(done));
-}
-
 void MiniFleet::BuildGraph(const ServiceCatalog& catalog) {
   const Topology& topo = system_.topology();
   const StudiedServices& ids = catalog.studied();
 
-  // Placement. Single-domain runs keep the legacy layout (everything packed
-  // into cluster 0, frontends in cluster 1) so existing fingerprints hold
-  // bit-for-bit. Sharded runs give each service its own cluster, dealt
-  // round-robin across the contiguous shard blocks (RpcSystem::ShardOfCluster)
-  // so every shard hosts part of the graph and the Table-1 dependency edges
-  // exercise the cross-shard fabric path.
+  // Placement. Single-domain runs pack every service into cluster 0 and the
+  // frontends into cluster 1. Sharded runs give each service its own
+  // cluster, dealt round-robin across the contiguous shard blocks
+  // (RpcSystem::ShardOfCluster) so every shard hosts part of the graph and
+  // the Table-1 dependency edges exercise the cross-shard fabric path.
   const bool spread = system_.num_shards() > 1;
   Rng placement(options_.seed ^ 0x111);
   int next_machine = 0;
@@ -210,182 +290,44 @@ void MiniFleet::BuildGraph(const ServiceCatalog& catalog) {
     const int block = static_cast<int>(limit - first);
     return first + static_cast<ClusterId>((g / system_.num_shards()) % block);
   };
-  auto deploy = [&](int32_t service_id, int replicas, int app_workers) {
-    auto d = std::make_unique<MiniFleetDeployment>();
-    d->service_id = service_id;
-    d->rng = placement.Fork(static_cast<uint64_t>(service_id));
+  auto deployed = [this, &ids](int32_t StudiedServices::*service) {
+    const auto it = std::find_if(deployments_.begin(), deployments_.end(), [&](const auto& d) {
+      return d->model.service_id == ids.*service;
+    });
+    RPCSCOPE_CHECK(it != deployments_.end()) << "service used before it is deployed";
+    return it->get();
+  };
+
+  // --- Deploy the Table-1 services from their study presets.
+  for (const DeploymentSpec& spec : kDeployments) {
+    auto owned = std::make_unique<MiniFleetDeployment>();
+    MiniFleetDeployment* d = owned.get();
+    d->model = MakeStudyConfig(catalog, ids.*spec.service);
+    d->rng = placement.Fork(static_cast<uint64_t>(d->model.service_id));
+    d->spec = &spec;
+    d->callee = spec.callee != nullptr ? deployed(spec.callee) : nullptr;
     ServerOptions server_opts;
-    server_opts.app_workers = app_workers;
+    server_opts.app_workers = d->model.app_workers;
+    server_opts.io_workers = d->model.io_workers;
     const ClusterId cluster = spread ? spread_cluster() : 0;
-    for (int r = 0; r < replicas; ++r) {
+    for (int r = 0; r < spec.replicas; ++r) {
       const MachineId m = spread ? topo.MachineAt(cluster, r) : topo.MachineAt(0, next_machine++);
       d->machines.push_back(m);
-      d->servers.push_back(std::make_unique<Server>(&system_, m, server_opts));
+      auto server = std::make_unique<Server>(&system_, m, server_opts);
+      server->RegisterMethod(kServe, d->model.service_name,
+                             [d](std::shared_ptr<ServerCall> call) { Serve(d, call); });
+      d->servers.push_back(std::move(server));
     }
     d->client = std::make_shared<Client>(&system_, d->machines[0]);
-    deployments_.push_back(std::move(d));
-    return deployments_.back().get();
-  };
-
-  // --- Deploy the Table-1 services bottom-up. The order fixes both the RNG
-  // placement draws (legacy parity) and the per-shard checkpoint layout.
-  MiniFleetDeployment* network_disk = deploy(ids.network_disk, 3, 8);
-  MiniFleetDeployment* bigtable = deploy(ids.bigtable, 2, 8);
-  MiniFleetDeployment* kv_store = deploy(ids.kv_store, 2, 8);
-  MiniFleetDeployment* ssd_cache = deploy(ids.ssd_cache, 2, 4);
-  MiniFleetDeployment* bigquery = deploy(ids.bigquery, 2, 8);
-  MiniFleetDeployment* video_metadata = deploy(ids.video_metadata, 2, 4);
-  MiniFleetDeployment* spanner = deploy(ids.spanner, 2, 8);
-  MiniFleetDeployment* f1 = deploy(ids.f1, 2, 8);
-  MiniFleetDeployment* ml = deploy(ids.ml_inference, 2, 8);
-
-  // --- Handlers wire the Table-1 dependency edges. They capture only stable
-  // MiniFleetDeployment pointers (owned by deployments_) and call the static
-  // ChildCall — no reference to any stack-local survives construction.
-  // Network Disk: leaf SSD read, 32 KB responses.
-  for (auto& server : network_disk->servers) {
-    server->RegisterMethod(kServe, "NetworkDisk/Read",
-                           [d = network_disk](std::shared_ptr<ServerCall> call) {
-                             const double us = d->rng.NextLognormal(std::log(900.0), 0.6);
-                             call->Compute(DurationFromMicros(us), [call]() {
-                               call->Finish(Status::Ok(), Payload::Modeled(32 * 1024, 1.0));
-                             });
-                           });
-  }
-  // Bigtable: tablet lookup; ~45% of lookups miss the memtable and read disk.
-  for (auto& server : bigtable->servers) {
-    server->RegisterMethod(
-        kServe, "Bigtable/Search",
-        [d = bigtable, nd = network_disk](std::shared_ptr<ServerCall> call) {
-          const double us = d->rng.NextLognormal(std::log(350.0), 0.6);
-          call->Compute(DurationFromMicros(us), [d, nd, call]() {
-            if (d->rng.NextBool(0.45)) {
-              ChildCall(*d, *nd, call, 512, [call](const CallResult&, Payload) {
-                call->Finish(Status::Ok(), Payload::Modeled(2048));
-              });
-            } else {
-              call->Finish(Status::Ok(), Payload::Modeled(2048));
-            }
-          });
-        });
-  }
-  // KV-Store: in-memory with a ~20% backing-store miss to Bigtable.
-  for (auto& server : kv_store->servers) {
-    server->RegisterMethod(
-        kServe, "KVStore/Search",
-        [d = kv_store, bt = bigtable](std::shared_ptr<ServerCall> call) {
-          const double us = d->rng.NextLognormal(std::log(25.0), 0.4);
-          call->Compute(DurationFromMicros(us), [d, bt, call]() {
-            if (d->rng.NextBool(0.20)) {
-              ChildCall(*d, *bt, call, 1024, [call](const CallResult&, Payload) {
-                call->Finish(Status::Ok(), Payload::Modeled(512));
-              });
-            } else {
-              call->Finish(Status::Ok(), Payload::Modeled(512));
-            }
-          });
-        });
-  }
-  // SSD cache: leaf streaming-data lookup.
-  for (auto& server : ssd_cache->servers) {
-    server->RegisterMethod(kServe, "SSDCache/Lookup",
-                           [d = ssd_cache](std::shared_ptr<ServerCall> call) {
-                             const double us = d->rng.NextLognormal(std::log(260.0), 0.55);
-                             call->Compute(DurationFromMicros(us), [call]() {
-                               call->Finish(Status::Ok(), Payload::Modeled(1024));
-                             });
-                           });
-  }
-  // BigQuery: partition/aggregate — 4 parallel SSD-cache lookups + compute.
-  for (auto& server : bigquery->servers) {
-    server->RegisterMethod(
-        kServe, "BigQuery/Query",
-        [d = bigquery, sc = ssd_cache](std::shared_ptr<ServerCall> call) {
-          auto pending = std::make_shared<int>(4);
-          for (int i = 0; i < 4; ++i) {
-            ChildCall(*d, *sc, call, 400, [d, call, pending](const CallResult&, Payload) {
-              if (--*pending == 0) {
-                const double us = d->rng.NextLognormal(std::log(2000.0), 1.0);
-                call->Compute(DurationFromMicros(us), [call]() {
-                  call->Finish(Status::Ok(), Payload::Modeled(64 * 1024));
-                });
-              }
-            });
-          }
-        });
-  }
-  // Video Metadata: leaf.
-  for (auto& server : video_metadata->servers) {
-    server->RegisterMethod(kServe, "VideoMetadata/Get",
-                           [d = video_metadata](std::shared_ptr<ServerCall> call) {
-                             const double us = d->rng.NextLognormal(std::log(120.0), 0.6);
-                             call->Compute(DurationFromMicros(us), [call]() {
-                               call->Finish(Status::Ok(), Payload::Modeled(4096));
-                             });
-                           });
-  }
-  // Spanner: row read, occasionally consulting Bigtable-backed storage.
-  for (auto& server : spanner->servers) {
-    server->RegisterMethod(
-        kServe, "Spanner/Read",
-        [d = spanner, nd = network_disk](std::shared_ptr<ServerCall> call) {
-          const double us = d->rng.NextLognormal(std::log(380.0), 0.8);
-          call->Compute(DurationFromMicros(us), [d, nd, call]() {
-            if (d->rng.NextBool(0.3)) {
-              ChildCall(*d, *nd, call, 800, [call](const CallResult&, Payload) {
-                call->Finish(Status::Ok(), Payload::Modeled(4096));
-              });
-            } else {
-              call->Finish(Status::Ok(), Payload::Modeled(4096));
-            }
-          });
-        });
-  }
-  // F1: "Process data packet" — F1 calls F1 (Table 1's client for F1 is F1).
-  for (auto& server : f1->servers) {
-    server->RegisterMethod(
-        kServe, "F1/Process",
-        [d = f1, sp = spanner](std::shared_ptr<ServerCall> call) {
-          const double us = d->rng.NextLognormal(std::log(700.0), 1.2);
-          call->Compute(DurationFromMicros(us), [d, sp, call]() {
-            if (d->rng.NextBool(0.5)) {
-              ChildCall(*d, *sp, call, 800, [call](const CallResult&, Payload) {
-                call->Finish(Status::Ok(), Payload::Modeled(8192));
-              });
-            } else {
-              call->Finish(Status::Ok(), Payload::Modeled(8192));
-            }
-          });
-        });
-  }
-  // ML Inference: compute-bound leaf.
-  for (auto& server : ml->servers) {
-    server->RegisterMethod(kServe, "ML/Infer",
-                           [d = ml](std::shared_ptr<ServerCall> call) {
-                             const double us = d->rng.NextLognormal(std::log(1800.0), 0.8);
-                             call->Compute(DurationFromMicros(us), [call]() {
-                               call->Finish(Status::Ok(), Payload::Modeled(2048));
-                             });
-                           });
+    deployments_.push_back(std::move(owned));
   }
 
-  // --- Frontends: each entry point drives its Table-1 server. Arrival chains
-  // stay unscheduled until the first ArmEpoch.
-  struct FrontendSpec {
-    MiniFleetDeployment* target;
-    int64_t request_bytes;
-  };
-  const std::vector<FrontendSpec> specs = {
-      {kv_store, 128},              // Recommendation service -> KV-Store.
-      {bigquery, 2048},             // Analyst queries -> BigQuery.
-      {video_metadata, 32 * 1024},  // Video Search -> Video Metadata.
-      {f1, 75},                     // F1 -> F1.
-      {ml, 512},                    // ML Client -> ML Inference.
-      {spanner, 800},               // Network information service -> Spanner.
-  };
+  // --- Frontends: each entry point drives its Table-1 server with that
+  // service's study request size. Arrival chains stay unscheduled until the
+  // first ArmEpoch.
   Rng workload(options_.seed ^ 0x222);
-  frontends_.reserve(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
+  frontends_.reserve(std::size(kFrontendTargets));
+  for (size_t i = 0; i < std::size(kFrontendTargets); ++i) {
     // Sharded runs also spread the frontends, one cluster each, continuing
     // the round-robin over shard blocks; the arrival process is scheduled on
     // the frontend's own shard simulator. Each arrival callback runs in its
@@ -393,11 +335,10 @@ void MiniFleet::BuildGraph(const ServiceCatalog& catalog) {
     // never a cross-domain write; Collect sums them.
     auto fe = std::make_unique<MiniFleetFrontend>();
     fe->index = static_cast<uint32_t>(i);
-    fe->target = specs[i].target;
-    fe->request_bytes = specs[i].request_bytes;
+    fe->target = deployed(kFrontendTargets[i]);
     // Colocated demo wiring puts the frontend on its target's first replica
     // so root calls that pick that machine qualify for the bypass.
-    fe->machine = options_.colocate_frontends ? specs[i].target->machines[0]
+    fe->machine = options_.colocate_frontends ? fe->target->machines[0]
                   : spread                    ? topo.MachineAt(spread_cluster(), 0)
                                               : topo.MachineAt(1, static_cast<int>(i));
     ClientOptions fe_client_opts;
@@ -409,10 +350,11 @@ void MiniFleet::BuildGraph(const ServiceCatalog& catalog) {
         &system_.ShardFor(fe->machine).sim(), options_.frontend_rps, options_.duration,
         workload.NextUint64(), [slot]() {
           ++slot->root_count;
+          const MiniFleetDeployment& target = *slot->target;
           CallOptions opts;
-          opts.service_id = slot->target->service_id;
-          slot->client->Call(slot->target->Pick(slot->chooser), kServe,
-                             Payload::Modeled(slot->request_bytes), opts,
+          opts.service_id = target.model.service_id;
+          slot->client->Call(target.Pick(slot->chooser), kServe,
+                             Payload::Modeled(target.model.request_bytes), opts,
                              [](const CallResult&, Payload) {});
         });
     frontends_.push_back(std::move(fe));
@@ -451,10 +393,11 @@ MiniFleetResult MiniFleet::Collect() {
     result.events_executed = system_.sim().events_executed();
     result.event_digest = system_.sim().event_digest();
   }
-  // The executor's single-domain fast path reports one round, so per-round
-  // derived stats stay meaningful across shard counts.
-  result.rounds = system_.last_rounds();
-  result.cross_domain_events = system_.last_cross_domain_events();
+  // Summed over every segment of the run, restored ones included. The
+  // executor's single-domain fast path reports one round per segment, so
+  // per-round derived stats stay meaningful across shard counts.
+  result.rounds = system_.total_rounds();
+  result.cross_domain_events = system_.total_cross_domain_events();
 
   result.policy_version = system_.shard(0).policy.version();
   result.policy_stages_applied = system_.shard(0).policy.stages_applied();
@@ -540,6 +483,26 @@ uint64_t MiniFleet::ConfigHash(SimDuration checkpoint_every) const {
   // under a different rollout (or placement) must be rejected.
   fold(options_.policy.ContentHash());
   fold(options_.colocate_frontends ? 1 : 0);
+  // The deployed service model, folded like the fault plan: a checkpoint
+  // taken under other presets, replica counts or edges must not resume here.
+  fold(deployments_.size());
+  for (const auto& d : deployments_) {
+    const ServiceStudyConfig& m = d->model;
+    for (const double v : {m.app_median_us, m.app_sigma, m.fast_weight, m.fast_median_us,
+                           m.error_prob, d->spec->miss}) {
+      fold(DoubleBits(v));
+    }
+    for (const int64_t v : {int64_t{m.service_id}, m.request_bytes, m.response_bytes,
+                            int64_t{m.app_workers}, int64_t{m.io_workers},
+                            int64_t{d->spec->replicas}, int64_t{d->spec->fanout}}) {
+      fold(static_cast<uint64_t>(v));
+    }
+    fold(d->callee == nullptr ? 0 : static_cast<uint64_t>(d->callee->model.service_id) + 1);
+  }
+  fold(frontends_.size());
+  for (const auto& fe : frontends_) {
+    fold(static_cast<uint64_t>(fe->target->model.service_id));
+  }
   // Full fault-plan content: a resumed run must execute the same chaos.
   if (injector_ == nullptr) {
     fold(0);

@@ -8,6 +8,11 @@
 // returns the full nested traces — a running miniature of the fleet the paper
 // measured, rather than eight isolated studies.
 //
+// Each service is the one Figs. 14–19 characterize: MakeStudyConfig's preset
+// (src/fleet/service_study.h) served by the study's ServeStudyCall. The
+// mini-fleet adds only what Table 1 and the load add, as a table in
+// mini_fleet.cc: replica counts, dependency edges and frontend targets.
+//
 // The fleet is a long-lived object so long-horizon runs can be split into
 // epochs and checkpointed at quiescent barriers (docs/ROBUSTNESS.md
 // #checkpointrestore). RunMiniFleetCheckpointed is the one driver: it runs
@@ -88,7 +93,8 @@ struct MiniFleetResult {
   // of worker_threads; the determinism regression tests assert this.
   uint64_t events_executed = 0;
   uint64_t event_digest = 0;
-  // Sharded-run stats (0 for single-domain runs).
+  // Executor stats summed over every segment (single-domain runs count one
+  // round per segment and no cross-domain events).
   uint64_t rounds = 0;
   uint64_t cross_domain_events = 0;
 
@@ -168,11 +174,14 @@ class MiniFleet {
   [[nodiscard]] Status ResyncAt(SimTime barrier);
 
   // Assembles the result from current state. Call after the final segment.
+  // Its executor stats (rounds, cross-domain events) cover every segment of
+  // the run, including those before a restored checkpoint.
   MiniFleetResult Collect();
 
   // Identity of this run configuration for checkpoint validation: folds every
   // digest-relevant option — seed, horizon, load, topology sharding,
-  // observability layout, the full fault-plan content — plus the checkpoint
+  // observability layout, the deployed service model (presets, replicas,
+  // edges, frontend targets), the full fault-plan content — plus the checkpoint
   // cadence (digest equality only holds between runs with the same epoch
   // boundaries, so resuming under a different cadence must be rejected).
   uint64_t ConfigHash(SimDuration checkpoint_every) const;
@@ -197,16 +206,6 @@ class MiniFleet {
   RpcSystem& system() { return system_; }
 
  private:
-  // Issues a child call linked to the parent span, inheriting the parent's
-  // remaining deadline. Owned by the *calling* deployment — its client issues
-  // it and its RNG picks the replica — because the handler executes in the
-  // caller's shard domain and must not touch target-shard state directly; the
-  // fabric is the only cross-shard edge. Static (capture-free call sites) so
-  // handlers only ever capture stable Deployment pointers.
-  static void ChildCall(MiniFleetDeployment& caller, MiniFleetDeployment& target,
-                        const std::shared_ptr<ServerCall>& parent, int64_t request_bytes,
-                        CallCallback done);
-
   void BuildGraph(const ServiceCatalog& catalog);
 
   MiniFleetOptions options_;

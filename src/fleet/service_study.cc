@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "src/fleet/fleet_sampler.h"
 #include "src/fleet/workload.h"
@@ -152,35 +153,17 @@ ServiceStudyResult RunServiceStudy(const ServiceStudyConfig& config,
   server_opts.io_workers = config.io_workers;
   server_opts.app_speed_factor = run.app_slowdown;
   server_opts.wakeup_latency = run.wakeup_latency;
+  Rng handler_rng(config.seed ^ Mix64(run.seed_salt + 3));
   std::vector<std::unique_ptr<Server>> servers;
   std::vector<MachineId> server_machines;
-  auto handler_rng = std::make_shared<Rng>(config.seed ^ Mix64(run.seed_salt + 3));
   for (int s = 0; s < config.num_servers; ++s) {
     const MachineId machine = topo.MachineAt(server_cluster, s);
     server_machines.push_back(machine);
     auto server = std::make_unique<Server>(&system, machine, server_opts);
-    server->RegisterMethod(
-        kMethod, config.service_name + "/Study",
-        [config, handler_rng](std::shared_ptr<ServerCall> call) {
-          double app_us;
-          if (config.fast_weight > 0 && handler_rng->NextBool(config.fast_weight)) {
-            app_us = handler_rng->NextLognormal(std::log(config.fast_median_us), 0.4);
-          } else {
-            app_us =
-                handler_rng->NextLognormal(std::log(config.app_median_us), config.app_sigma);
-          }
-          const bool fail = handler_rng->NextBool(config.error_prob);
-          if (fail) {
-            // Errors fail partway through processing.
-            call->Compute(DurationFromMicros(app_us * 0.3), [call]() {
-              call->Finish(NotFoundError("entity not found"), Payload::Modeled(64));
-            });
-            return;
-          }
-          call->Compute(DurationFromMicros(app_us), [call, config]() {
-            call->Finish(Status::Ok(), Payload::Modeled(config.response_bytes));
-          });
-        });
+    server->RegisterMethod(kMethod, config.service_name + "/Study",
+                           [&config, &handler_rng](std::shared_ptr<ServerCall> call) {
+                             ServeStudyCall(config, handler_rng, call);
+                           });
     servers.push_back(std::move(server));
   }
 
@@ -257,6 +240,29 @@ ServiceStudyResult RunServiceStudy(const ServiceStudyConfig& config,
     result.wasted_cycles += client->wasted_cycles();
   }
   return result;
+}
+
+void ServeStudyCall(const ServiceStudyConfig& config, Rng& rng,
+                    const std::shared_ptr<ServerCall>& call, std::function<void()> then) {
+  double app_us;
+  if (config.fast_weight > 0 && rng.NextBool(config.fast_weight)) {
+    app_us = rng.NextLognormal(std::log(config.fast_median_us), 0.4);
+  } else {
+    app_us = rng.NextLognormal(std::log(config.app_median_us), config.app_sigma);
+  }
+  if (rng.NextBool(config.error_prob)) {
+    // Errors fail partway through processing.
+    call->Compute(DurationFromMicros(app_us * 0.3), [call]() {
+      call->Finish(NotFoundError("entity not found"), Payload::Modeled(64));
+    });
+    return;
+  }
+  if (!then) {
+    then = [call, bytes = config.response_bytes]() {
+      call->Finish(Status::Ok(), Payload::Modeled(bytes));
+    };
+  }
+  call->Compute(DurationFromMicros(app_us), std::move(then));
 }
 
 }  // namespace rpcscope

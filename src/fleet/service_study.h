@@ -9,10 +9,23 @@
 // slowdown, scheduler wake-up latency) plug in the cluster-state model for
 // the Figs. 16–18 sweeps, and placing clients in a remote cluster reproduces
 // the Fig. 19 cross-cluster staircase.
+//
+// MakeStudyConfig is the one description of a Table-1 service's server and
+// ServeStudyCall its one handler; MiniFleet (src/fleet/mini_fleet.h) deploys
+// both, taking the compute mixture, error rate, payload sizes and worker
+// counts. The other fields stay study-only: num_servers, num_clients,
+// client_rx_*, target_utilization, duration, warmup and seed configure this
+// harness, not the service (the mini-fleet sizes replicas for its own load);
+// hedging belongs to the caller's channel, and hedging the mini-fleet's
+// KV-Store callers would make it a different workload; cost_scale multiplies
+// a whole RpcSystem's cost model, which the mini-fleet shares among nine
+// services, so honoring it there would need per-endpoint pricing.
 #ifndef RPCSCOPE_SRC_FLEET_SERVICE_STUDY_H_
 #define RPCSCOPE_SRC_FLEET_SERVICE_STUDY_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +34,8 @@
 #include "src/trace/span.h"
 
 namespace rpcscope {
+
+class ServerCall;
 
 struct ServiceStudyConfig {
   int32_t service_id = -1;
@@ -87,6 +102,15 @@ std::vector<ServiceStudyConfig> MakeAllStudyConfigs(const ServiceCatalog& catalo
 
 ServiceStudyResult RunServiceStudy(const ServiceStudyConfig& config,
                                    const ServiceStudyRun& run);
+
+// Serves one call of `config`'s service. Draws from `rng` in a fixed order:
+// the fast-path coin (only when fast_weight > 0), the lognormal app time,
+// the error coin. A failing call computes 0.3x the app time and finishes
+// NOT_FOUND with 64 bytes. A successful one computes the app time, then runs
+// `then`, which must finish the call (default: OK with response_bytes).
+void ServeStudyCall(const ServiceStudyConfig& config, Rng& rng,
+                    const std::shared_ptr<ServerCall>& call,
+                    std::function<void()> then = nullptr);
 
 }  // namespace rpcscope
 

@@ -148,6 +148,8 @@ uint64_t RpcSystem::RunSharded(int worker_threads, SimTime flush_watermark) {
   const uint64_t executed = executor.RunToCompletion();
   last_rounds_ = executor.rounds();
   last_cross_domain_events_ = executor.cross_domain_events();
+  total_rounds_ += last_rounds_;
+  total_cross_domain_events_ += last_cross_domain_events_;
   // Final flush: drains whatever the last partial round left in the sinks
   // (and, on the single-domain fast path, everything). At kMaxSimTime it
   // closes every window; at an epoch end, windows past it stay open and the
@@ -235,8 +237,8 @@ Status RpcSystem::SerializeGlobal(CheckpointWriter& w) const {
   w.BeginSection("rpc_system");
   w.WriteU64(options_.seed);
   w.WriteU32(static_cast<uint32_t>(shards_.size()));
-  w.WriteU64(last_rounds_);
-  w.WriteU64(last_cross_domain_events_);
+  w.WriteU64(total_rounds_);
+  w.WriteU64(total_cross_domain_events_);
   w.WriteBool(kHasHub);
   w.EndSection();
   return hub_->CheckpointTo(w);
@@ -248,8 +250,8 @@ Status RpcSystem::RestoreGlobal(CheckpointReader& r) {
   }
   const uint64_t seed = r.ReadU64();
   const uint32_t shard_count = r.ReadU32();
-  const uint64_t last_rounds = r.ReadU64();
-  const uint64_t last_cross_domain_events = r.ReadU64();
+  const uint64_t total_rounds = r.ReadU64();
+  const uint64_t total_cross_domain_events = r.ReadU64();
   const bool has_hub = r.ReadBool();
   if (Status st = r.LeaveSection(); !st.ok()) {
     return st;
@@ -260,8 +262,8 @@ Status RpcSystem::RestoreGlobal(CheckpointReader& r) {
   if (has_hub != kHasHub) {
     return FailedPreconditionError("rpc_system: observability hub enablement mismatch");
   }
-  last_rounds_ = last_rounds;
-  last_cross_domain_events_ = last_cross_domain_events;
+  total_rounds_ = total_rounds;
+  total_cross_domain_events_ = total_cross_domain_events;
   return hub_->RestoreFrom(r);
 }
 

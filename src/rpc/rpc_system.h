@@ -181,6 +181,10 @@ class RpcSystem {
   // round on the executor's fast path).
   uint64_t last_rounds() const { return last_rounds_; }
   uint64_t last_cross_domain_events() const { return last_cross_domain_events_; }
+  // The same stats summed over every RunSharded call of the run. A
+  // checkpoint carries them, so a resumed run reports the whole-run totals.
+  uint64_t total_rounds() const { return total_rounds_; }
+  uint64_t total_cross_domain_events() const { return total_cross_domain_events_; }
 
   // Re-synchronizes every shard clock to `barrier` after a segment drains
   // (docs/ROBUSTNESS.md#checkpointrestore). Cascades past the epoch end leave
@@ -258,8 +262,10 @@ class RpcSystem {
   LookaheadMatrix lookahead_matrix_;  // NOLINT(detan-checkpoint-field) derived from topology
   std::vector<std::unique_ptr<ShardContext>> shards_;
   std::unique_ptr<ObservabilityHub> hub_;
-  uint64_t last_rounds_ = 0;
-  uint64_t last_cross_domain_events_ = 0;
+  uint64_t last_rounds_ = 0;               // NOLINT(detan-checkpoint-field) per call
+  uint64_t last_cross_domain_events_ = 0;  // NOLINT(detan-checkpoint-field) per call
+  uint64_t total_rounds_ = 0;
+  uint64_t total_cross_domain_events_ = 0;
   std::unordered_map<MachineId, Server*> servers_;  // NOLINT(detan-checkpoint-field) structural
 };
 

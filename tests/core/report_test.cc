@@ -24,7 +24,7 @@ TEST(FigureReportTest, RenderContainsTitleNotesAndTables) {
 TEST(FigureReportTest, CsvRendersTablesOnly) {
   FigureReport report;
   report.id = "figX";
-  report.title = "T";
+  report.title = "CSV test";
   ComparisonTable cmp;
   cmp.Add("m", "p", "v");
   report.tables.push_back(cmp.Build());

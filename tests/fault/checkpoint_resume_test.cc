@@ -79,8 +79,50 @@ void ExpectSameRun(const MiniFleetResult& resumed, const MiniFleetResult& refere
   EXPECT_EQ(resumed.spans_streamed, reference.spans_streamed);
   EXPECT_EQ(resumed.root_calls, reference.root_calls);
   EXPECT_EQ(resumed.spans.size(), reference.spans.size());
+  EXPECT_EQ(resumed.rounds, reference.rounds);
+  EXPECT_EQ(resumed.cross_domain_events, reference.cross_domain_events);
   // The streaming pipeline's own invariant must survive the restart too.
   EXPECT_EQ(resumed.streamed_aggregate_digest, resumed.replayed_aggregate_digest);
+}
+
+// A checkpointed run reports whole-run executor stats: the sums of
+// last_rounds() and last_cross_domain_events() over a fleet driven segment by
+// segment (as perfbench drives it), whether the run goes through
+// uninterrupted or is killed and resumed from a checkpoint.
+TEST(CheckpointResume, ExecutorStatsCoverEverySegment) {
+  const MiniFleetOptions options = FleetOptions(7, 2, nullptr);
+  const ServiceCatalog services = ServiceCatalog::BuildDefault();
+  const uint64_t epochs = static_cast<uint64_t>(kDuration / kEvery);
+  uint64_t rounds = 0;
+  uint64_t cross = 0;
+  {
+    MiniFleet fleet(services, options);
+    for (uint64_t k = 0; k < epochs; ++k) {
+      const bool final_epoch = k + 1 == epochs;
+      const SimTime end = final_epoch ? kMaxSimTime : static_cast<SimTime>(k + 1) * kEvery;
+      ASSERT_TRUE(fleet.ArmThrough(end).ok());
+      fleet.RunSegment(end);
+      rounds += fleet.system().last_rounds();
+      cross += fleet.system().last_cross_domain_events();
+      if (!final_epoch) {
+        ASSERT_TRUE(fleet.ResyncAt(end).ok());
+      }
+    }
+  }
+  ASSERT_GT(cross, 0u);
+
+  const MiniFleetResult whole = MustRun(options, {.dir = {}, .every = kEvery});
+  EXPECT_EQ(whole.rounds, rounds);
+  EXPECT_EQ(whole.cross_domain_events, cross);
+
+  const std::string dir = FreshDir("executor_stats");
+  const MiniFleetResult killed =
+      MustRun(options, {.dir = dir, .every = kEvery, .stop_after_epochs = 2});
+  ASSERT_TRUE(killed.interrupted);
+  const MiniFleetResult resumed = MustRun(options, {.dir = dir, .every = kEvery, .resume = true});
+  ASSERT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.rounds, rounds);
+  EXPECT_EQ(resumed.cross_domain_events, cross);
 }
 
 TEST(CheckpointResume, MatchesUninterruptedAcrossWorkersAndSeeds) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "src/fault/fault_plan.h"
+#include "src/fleet/service_study.h"
 #include "src/trace/tree.h"
 
 namespace rpcscope {
@@ -110,6 +115,53 @@ TEST_F(MiniFleetTest, TreesAreShallowAndWide) {
   // Longest Table-1 chain: frontend root (depth 0) -> KV -> Bigtable -> ND.
   EXPECT_GE(max_depth, 2);
   EXPECT_LE(max_depth, 4);
+}
+
+// Each service serves its study preset's error rate: a call fails NOT_FOUND
+// with probability error_prob, drawn per call, so the failed share of all
+// spans is a binomial sample around the span-weighted error_prob. No fault,
+// deadline or policy is active, so nothing else fails.
+TEST_F(MiniFleetTest, ServesTheStudyErrorRate) {
+  double expected = 0;
+  double variance = 0;
+  int64_t not_found = 0;
+  int64_t ok = 0;
+  for (const Span& s : result_->spans) {
+    const double p = MakeStudyConfig(*catalog_, s.service_id).error_prob;
+    expected += p;
+    variance += p * (1 - p);
+    not_found += s.status == StatusCode::kNotFound ? 1 : 0;
+    ok += s.status == StatusCode::kOk ? 1 : 0;
+  }
+  EXPECT_EQ(ok + not_found, static_cast<int64_t>(result_->spans.size()));
+  // Four standard deviations of the binomial count.
+  EXPECT_NEAR(static_cast<double>(not_found), expected, 4 * std::sqrt(variance));
+}
+
+// At fleet_dense's load (one domain, 4,000 rps per frontend) no service is
+// deployed past its capacity: each one's median receive-queue wait stays
+// below its study app median. An overloaded service shows a backlog that
+// grows for as long as the run lasts instead.
+TEST(MiniFleetCapacityTest, NoServiceQueuesAtDenseLoad) {
+  const ServiceCatalog catalog = ServiceCatalog::BuildDefault();
+  MiniFleetOptions options;
+  options.duration = Seconds(2);
+  options.frontend_rps = 4000;
+  const MiniFleetResult result = RunMiniFleet(catalog, options);
+  std::map<int32_t, std::vector<SimDuration>> waits;
+  for (const Span& s : result.spans) {
+    waits[s.service_id].push_back(s.latency[RpcComponent::kServerRecvQueue]);
+  }
+  const StudiedServices& ids = catalog.studied();
+  for (int32_t id : {ids.network_disk, ids.bigtable, ids.kv_store, ids.ssd_cache, ids.bigquery,
+                     ids.video_metadata, ids.spanner, ids.f1, ids.ml_inference}) {
+    std::vector<SimDuration>& w = waits[id];
+    ASSERT_GT(w.size(), 100u) << catalog.service(id).name;
+    const auto median = w.begin() + static_cast<std::ptrdiff_t>(w.size() / 2);
+    std::nth_element(w.begin(), median, w.end());
+    EXPECT_LT(ToMicros(*median), MakeStudyConfig(catalog, id).app_median_us)
+        << catalog.service(id).name;
+  }
 }
 
 // MiniFleetOptions::fault_plan only needs to live through the constructor,

@@ -130,7 +130,7 @@ TEST(StreamWindowTest, CrossShardDeltaMergeMatchesPostRunReplay) {
         hub.AdvanceWatermark(next_barrier);
         next_barrier += barrier_every;
       }
-      sinks[static_cast<size_t>(span.trace_id % num_shards)].OnSpan(span);
+      sinks[span.trace_id % sinks.size()].OnSpan(span);
     }
     for (ShardStreamSink& sink : sinks) {
       sink.FlushInto(hub, kMaxSimTime);
