@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
               "touches the networking category; nic_crypto zeroes the per-byte share of\n"
               "encryption+checksum; notnets_colocated (NotNets, arXiv 2404.06581) changes\n"
               "nothing here: it acts only on spans marked colocated, and FleetSampler marks\n"
-              "none. The DES prices it like baseline, because colocated calls take the\n"
-              "colocated fast path before any profile is consulted.\n");
+              "none. Profiles act only in this what-if: the DES runs no profile, so every\n"
+              "DES call is priced under baseline.\n");
 
   // Direction-only assertions for CI: the offload profiles must beat the
   // baseline on both the p99 tail and host tax cycles.

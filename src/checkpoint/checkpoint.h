@@ -31,7 +31,12 @@ namespace rpcscope {
 inline constexpr uint32_t kCheckpointMagic = 0x54504b43;  // "CKPT" little-endian.
 // v2: policy engine sections, client colocated-bypass fields, StreamStat
 // colocated aggregates.
-inline constexpr uint32_t kCheckpointFormatVersion = 2;
+// v3: dropped the client's and server's device-cycle totals and accelerator
+// pool sections, the metrics section's gauge and distribution lists, three
+// fields that only ever held one value (the "sim" queue-kind byte, the
+// "shard" has-sink and "rpc_system" has-hub flags), and two constant words
+// from the mini-fleet's config hash.
+inline constexpr uint32_t kCheckpointFormatVersion = 3;
 
 // Serializes state into an in-memory, section-framed buffer and commits it to
 // disk atomically. All scalars are little-endian fixed width; doubles are

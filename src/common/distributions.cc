@@ -1,24 +1,25 @@
 #include "src/common/distributions.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <deque>
+
+#include "src/common/check.h"
 
 namespace rpcscope {
 
 QuantileCurve::QuantileCurve(std::vector<Anchor> anchors, double min_value, double max_value)
     : min_value_(min_value), max_value_(max_value) {
-  assert(anchors.size() >= 2);
+  RPCSCOPE_CHECK_GE(anchors.size(), 2u);
   anchors_.reserve(anchors.size());
   for (const Anchor& a : anchors) {
-    assert(a.p > 0.0 && a.p < 1.0);
-    assert(a.value > 0.0);
+    RPCSCOPE_CHECK(a.p > 0.0 && a.p < 1.0) << "anchor p " << a.p;
+    RPCSCOPE_CHECK_GT(a.value, 0.0);
     anchors_.push_back({a.p, std::log(a.value)});
   }
   for (size_t i = 1; i < anchors_.size(); ++i) {
-    assert(anchors_[i].p > anchors_[i - 1].p);
-    assert(anchors_[i].value >= anchors_[i - 1].value);
+    RPCSCOPE_CHECK_GT(anchors_[i].p, anchors_[i - 1].p);
+    RPCSCOPE_CHECK_GE(anchors_[i].value, anchors_[i - 1].value);
   }
 }
 
@@ -50,16 +51,16 @@ double QuantileCurve::Quantile(double p) const {
 }
 
 DiscreteDist::DiscreteDist(const std::vector<double>& weights) {
-  assert(!weights.empty());
+  RPCSCOPE_CHECK(!weights.empty());
   const size_t n = weights.size();
   prob_.assign(n, 0.0);
   alias_.assign(n, 0);
   double total = 0;
   for (double w : weights) {
-    assert(w >= 0);
+    RPCSCOPE_CHECK_GE(w, 0);
     total += w;
   }
-  assert(total > 0);
+  RPCSCOPE_CHECK_GT(total, 0);
 
   // Walker's alias method: partition scaled probabilities into "small" and
   // "large" and pair them so every column has unit mass.

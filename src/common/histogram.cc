@@ -1,7 +1,6 @@
 #include "src/common/histogram.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "src/common/check.h"
@@ -9,9 +8,9 @@
 namespace rpcscope {
 
 LogHistogram::LogHistogram(const Options& options) : options_(options) {
-  assert(options.min_value > 0);
-  assert(options.max_value > options.min_value);
-  assert(options.buckets_per_decade > 0);
+  RPCSCOPE_CHECK_GT(options.min_value, 0);
+  RPCSCOPE_CHECK_GT(options.max_value, options.min_value);
+  RPCSCOPE_CHECK_GT(options.buckets_per_decade, 0);
   log_min_ = std::log10(options.min_value);
   inv_log_step_ = static_cast<double>(options.buckets_per_decade);
   const double decades = std::log10(options.max_value) - log_min_;
@@ -72,7 +71,7 @@ double LogHistogram::BucketLowerBound(size_t index) const {
 }
 
 void LogHistogram::AddCount(double value, int64_t count) {
-  assert(count >= 0);
+  RPCSCOPE_DCHECK_GE(count, 0);
   if (count == 0) {
     return;
   }

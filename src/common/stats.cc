@@ -1,8 +1,9 @@
 #include "src/common/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+
+#include "src/common/check.h"
 
 namespace rpcscope {
 
@@ -46,7 +47,7 @@ double RunningStats::variance() const {
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double PearsonCorrelation(const std::vector<double>& x, const std::vector<double>& y) {
-  assert(x.size() == y.size());
+  RPCSCOPE_CHECK_EQ(x.size(), y.size());
   const size_t n = x.size();
   if (n < 2) {
     return 0.0;

@@ -1,14 +1,15 @@
 #include "src/fleet/call_graph.h"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
+
+#include "src/common/check.h"
 
 namespace rpcscope {
 
 CallGraphModel::CallGraphModel(const MethodCatalog* methods, const CallGraphOptions& options)
     : methods_(methods), options_(options), rng_(options.seed) {
-  assert(methods != nullptr);
+  RPCSCOPE_CHECK(methods != nullptr);
   tier_dists_.resize(4);
   tier_members_.resize(4);
   for (int t = 0; t < 4; ++t) {

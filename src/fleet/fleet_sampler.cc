@@ -1,9 +1,9 @@
 #include "src/fleet/fleet_sampler.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
+#include "src/common/check.h"
 #include "src/rpc/stage_model.h"
 
 namespace rpcscope {
@@ -72,7 +72,7 @@ FleetSampler::FleetSampler(const ServiceCatalog* services, const MethodCatalog* 
       costs_(costs),
       options_(options),
       rng_(options.seed) {
-  assert(services && methods && topology && costs);
+  RPCSCOPE_CHECK(services && methods && topology && costs);
   // Precompute per-cluster candidate lists per distance class.
   const int nc = topology_->num_clusters();
   clusters_by_class_.resize(static_cast<size_t>(nc));

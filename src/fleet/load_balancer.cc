@@ -1,10 +1,10 @@
 #include "src/fleet/load_balancer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
 
+#include "src/common/check.h"
 #include "src/common/distributions.h"
 
 namespace rpcscope {
@@ -12,7 +12,7 @@ namespace rpcscope {
 LoadBalanceStudy::LoadBalanceStudy(const Topology* topology,
                                    const LoadBalanceStudyOptions& options)
     : topology_(topology), options_(options), rng_(options.seed) {
-  assert(topology != nullptr);
+  RPCSCOPE_CHECK(topology != nullptr);
 }
 
 LoadBalanceResult LoadBalanceStudy::Run() {

@@ -1,10 +1,11 @@
 #include "src/fleet/method_catalog.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+
+#include "src/common/check.h"
 
 namespace rpcscope {
 
@@ -59,7 +60,7 @@ double HashUnit(uint64_t seed, uint64_t a, uint64_t b) {
 MethodCatalog MethodCatalog::Generate(const ServiceCatalog& services,
                                       const MethodCatalogOptions& options) {
   const int n = options.num_methods;
-  assert(n >= 200);
+  RPCSCOPE_CHECK_GE(n, 200);
   MethodCatalog catalog;
   const auto& specs = services.services();
   const int32_t nd = services.studied().network_disk;
@@ -86,7 +87,7 @@ MethodCatalog MethodCatalog::Generate(const ServiceCatalog& services,
                                              methods_per_service.end()) -
                             methods_per_service.begin());
     methods_per_service[biggest] += n - assigned;
-    assert(methods_per_service[biggest] > 0);
+    RPCSCOPE_CHECK_GT(methods_per_service[biggest], 0);
   }
 
   // ---- 2. Per-service in-service popularity: one dominant "primary" method

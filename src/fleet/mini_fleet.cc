@@ -463,13 +463,8 @@ uint64_t MiniFleet::ConfigHash(SimDuration checkpoint_every) const {
   fold(static_cast<uint64_t>(options_.duration));
   fold(static_cast<uint64_t>(options_.warmup));
   fold(DoubleBits(options_.frontend_rps));
-  // Constant words for the simulator queue kind (0, the ladder) and the
-  // streaming flag (1, always on) keep every hash, and so every checkpoint
-  // manifest, stable across revisions.
-  fold(0);
   fold(static_cast<uint64_t>(options_.num_shards));
   const ObservabilityOptions& obs = options_.observability;
-  fold(1);
   fold(static_cast<uint64_t>(obs.window));
   fold(static_cast<uint64_t>(obs.max_windows));
   fold(static_cast<uint64_t>(obs.max_buffered_spans));

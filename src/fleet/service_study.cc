@@ -1,10 +1,10 @@
 #include "src/fleet/service_study.h"
 
-#include <cassert>
 #include <cmath>
 #include <memory>
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/fleet/fleet_sampler.h"
 #include "src/fleet/workload.h"
 #include "src/rpc/client.h"
@@ -141,8 +141,9 @@ ServiceStudyResult RunServiceStudy(const ServiceStudyConfig& config,
   const ClusterId server_cluster = run.server_cluster;
   const ClusterId client_cluster =
       run.client_cluster >= 0 ? run.client_cluster : server_cluster;
-  assert(server_cluster < topo.num_clusters());
-  assert(client_cluster < topo.num_clusters());
+  RPCSCOPE_CHECK(server_cluster >= 0 && server_cluster < topo.num_clusters())
+      << "server cluster " << server_cluster << " of " << topo.num_clusters();
+  RPCSCOPE_CHECK_LT(client_cluster, topo.num_clusters());
 
   constexpr MethodId kMethod = 1;
   Rng workload_rng(config.seed ^ Mix64(run.seed_salt + 2));

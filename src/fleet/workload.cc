@@ -1,10 +1,10 @@
 #include "src/fleet/workload.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "src/checkpoint/checkpoint.h"
+#include "src/common/check.h"
 
 namespace rpcscope {
 
@@ -15,8 +15,8 @@ EpochArrivals::EpochArrivals(Simulator* sim, double rate_per_second, SimTime unt
       until_(until),
       rng_(seed),
       on_arrival_(std::move(on_arrival)) {
-  assert(sim != nullptr);
-  assert(rate_per_second > 0);
+  RPCSCOPE_CHECK(sim != nullptr);
+  RPCSCOPE_CHECK_GT(rate_per_second, 0);
 }
 
 void EpochArrivals::ArmEpoch(SimTime epoch_end) {

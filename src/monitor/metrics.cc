@@ -62,46 +62,15 @@ Counter& MetricRegistry::GetCounter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricRegistry::GetGauge(const std::string& name) {
-  auto& slot = gauges_[name];
-  if (!slot) {
-    slot = std::make_unique<Gauge>();
-  }
-  return *slot;
-}
-
-DistributionMetric& MetricRegistry::GetDistribution(const std::string& name) {
-  auto& slot = distributions_[name];
-  if (!slot) {
-    slot = std::make_unique<DistributionMetric>();
-  }
-  return *slot;
-}
-
 const Counter* MetricRegistry::FindCounter(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : it->second.get();
-}
-
-const DistributionMetric* MetricRegistry::FindDistribution(const std::string& name) const {
-  auto it = distributions_.find(name);
-  return it == distributions_.end() ? nullptr : it->second.get();
 }
 
 void MetricRegistry::SampleAll(SimTime now) {
   for (const auto& [name, counter] : counters_) {
     TimeSeries& ts = series_[name];
     ts.Append(now, counter->value());
-    ts.Expire(now, options_.retention);
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    TimeSeries& ts = series_[name];
-    ts.Append(now, gauge->value());
-    ts.Expire(now, options_.retention);
-  }
-  for (const auto& [name, dist] : distributions_) {
-    TimeSeries& ts = series_[name];
-    ts.Append(now, static_cast<double>(dist->histogram().count()));
     ts.Expire(now, options_.retention);
   }
 }
@@ -119,16 +88,6 @@ Status MetricRegistry::CheckpointTo(CheckpointWriter& w) const {
   for (const std::string& name : SortedKeys(counters_)) {
     w.WriteString(name);
     w.WriteDouble(counters_.at(name)->value());
-  }
-  w.WriteU32(static_cast<uint32_t>(gauges_.size()));
-  for (const std::string& name : SortedKeys(gauges_)) {
-    w.WriteString(name);
-    w.WriteDouble(gauges_.at(name)->value());
-  }
-  w.WriteU32(static_cast<uint32_t>(distributions_.size()));
-  for (const std::string& name : SortedKeys(distributions_)) {
-    w.WriteString(name);
-    WriteHistogramState(w, distributions_.at(name)->histogram());
   }
   w.WriteU32(static_cast<uint32_t>(series_.size()));
   for (const std::string& name : SortedKeys(series_)) {
@@ -160,24 +119,6 @@ Status MetricRegistry::RestoreFrom(CheckpointReader& r) {
     const double value = r.ReadDouble();
     counters.emplace_back(std::move(name), value);
   }
-  std::vector<std::pair<std::string, double>> gauges;
-  const uint32_t num_gauges = r.ReadU32();
-  for (uint32_t i = 0; i < num_gauges && r.status().ok(); ++i) {
-    std::string name = r.ReadString();
-    const double value = r.ReadDouble();
-    gauges.emplace_back(std::move(name), value);
-  }
-  std::vector<std::pair<std::string, LogHistogram>> distributions;
-  const uint32_t num_distributions = r.ReadU32();
-  for (uint32_t i = 0; i < num_distributions && r.status().ok(); ++i) {
-    std::string name = r.ReadString();
-    LogHistogram hist;
-    if (Status s = ReadHistogramState(r, hist); !s.ok()) {
-      (void)r.LeaveSection();
-      return s;
-    }
-    distributions.emplace_back(std::move(name), std::move(hist));
-  }
   std::vector<std::pair<std::string, TimeSeries>> series;
   const uint32_t num_series = r.ReadU32();
   for (uint32_t i = 0; i < num_series && r.status().ok(); ++i) {
@@ -198,8 +139,8 @@ Status MetricRegistry::RestoreFrom(CheckpointReader& r) {
     return FailedPreconditionError("metrics: registry options mismatch");
   }
 
-  // Values land in the existing instrument objects (created during fleet
-  // construction) so Counter*/Gauge* pointers cached by components survive.
+  // Values land in the existing counters (created during fleet
+  // construction) so Counter* pointers cached by components survive.
   for (const auto& [name, value] : counters) {
     Counter& c = GetCounter(name);
     if (c.value() != 0.0) {
@@ -207,14 +148,6 @@ Status MetricRegistry::RestoreFrom(CheckpointReader& r) {
     }
     c.Increment(value);
     RPCSCOPE_DCHECK(counters_.count(name) == 1);
-  }
-  for (const auto& [name, value] : gauges) {
-    GetGauge(name).Set(value);
-    RPCSCOPE_DCHECK(gauges_.count(name) == 1);
-  }
-  for (auto& [name, hist] : distributions) {
-    GetDistribution(name).mutable_histogram() = std::move(hist);
-    RPCSCOPE_DCHECK(distributions_.count(name) == 1);
   }
   series_.clear();
   for (auto& [name, ts] : series) {

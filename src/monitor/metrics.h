@@ -1,10 +1,11 @@
-// Monarch-like metrics: counters, gauges, and distribution metrics, sampled
-// periodically into a retained time-series store.
+// Monarch-like metrics: counters sampled periodically into retained time
+// series.
 //
 // The paper's Fig. 1 is built from exactly this kind of data: counters
 // sampled every 30 minutes with a 700-day retention. MetricRegistry owns the
-// live instruments; TimeSeriesStore holds the sampled points and answers
-// range/rate queries.
+// live counters and, per counter, the TimeSeries of its sampled points, which
+// answers range/rate queries. Distributions live in the observability hub
+// (src/monitor/stream.h), not here.
 #ifndef RPCSCOPE_SRC_MONITOR_METRICS_H_
 #define RPCSCOPE_SRC_MONITOR_METRICS_H_
 
@@ -15,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/common/status.h"
 #include "src/common/time.h"
 
@@ -32,31 +32,6 @@ class Counter {
 
  private:
   double value_ = 0;
-};
-
-// Point-in-time gauge.
-class Gauge {
- public:
-  void Set(double value) { value_ = value; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0;
-};
-
-// Distribution-valued metric (latency, size); cumulative log histogram.
-class DistributionMetric {
- public:
-  DistributionMetric() = default;
-  explicit DistributionMetric(const LogHistogram::Options& options) : hist_(options) {}
-
-  void Record(double value) { hist_.Add(value); }
-  const LogHistogram& histogram() const { return hist_; }
-  // Checkpoint restore writes the saved histogram state back in place.
-  LogHistogram& mutable_histogram() { return hist_; }
-
- private:
-  LogHistogram hist_;
 };
 
 struct TimePoint {
@@ -96,38 +71,31 @@ class MetricRegistry {
   MetricRegistry() : MetricRegistry(Options{}) {}
   explicit MetricRegistry(const Options& options) : options_(options) {}
 
-  // Instruments are created on first use and owned by the registry.
+  // Counters are created on first use and owned by the registry.
   Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name);
-  DistributionMetric& GetDistribution(const std::string& name);
 
-  // Non-creating lookups, for cross-shard aggregation: merging registries
-  // must not materialize default-layout instruments on shards that never
-  // touched the metric (LogHistogram::Merge CHECKs layout equality).
+  // Non-creating lookup, for cross-shard aggregation: summing registries
+  // must not materialize counters on shards that never touched the metric.
   const Counter* FindCounter(const std::string& name) const;
-  const DistributionMetric* FindDistribution(const std::string& name) const;
 
-  // Samples every registered instrument into its time series at `now`
-  // (counters record their cumulative value; gauges their current value;
-  // distributions their cumulative count). Applies retention.
+  // Samples every counter's cumulative value into its time series at `now`.
+  // Applies retention.
   void SampleAll(SimTime now);
 
   const TimeSeries* Series(const std::string& name) const;
   const Options& options() const { return options_; }
 
-  // Checkpoint support. Instruments serialize in sorted-name order (the maps
+  // Checkpoint support. Counters serialize in sorted-name order (the maps
   // are unordered; checkpoint bytes must not be). Restore targets a registry
-  // whose instruments are freshly registered but never incremented — values
-  // land in the *existing* Counter/Gauge/Distribution objects so pointers
-  // cached by components at construction stay valid across a restore.
+  // whose counters are freshly registered but never incremented — values
+  // land in the *existing* Counter objects so pointers cached by components
+  // at construction stay valid across a restore.
   [[nodiscard]] Status CheckpointTo(CheckpointWriter& w) const;
   [[nodiscard]] Status RestoreFrom(CheckpointReader& r);
 
  private:
   Options options_;
   std::unordered_map<std::string, std::unique_ptr<Counter>> counters_;
-  std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::unordered_map<std::string, std::unique_ptr<DistributionMetric>> distributions_;
   std::unordered_map<std::string, TimeSeries> series_;
 };
 

@@ -1,6 +1,5 @@
 #include "src/net/fabric.h"
 
-#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -11,8 +10,8 @@ namespace rpcscope {
 
 Fabric::Fabric(Simulator* sim, const Topology* topology, const FabricOptions& options)
     : sim_(sim), topology_(topology), options_(options), rng_(options.seed) {
-  assert(sim != nullptr);
-  assert(topology != nullptr);
+  RPCSCOPE_CHECK(sim != nullptr);
+  RPCSCOPE_CHECK(topology != nullptr);
 }
 
 SimDuration Fabric::MinOneWayLatency(MachineId src, MachineId dst, int64_t bytes) const {

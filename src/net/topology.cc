@@ -1,8 +1,8 @@
 #include "src/net/topology.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "src/common/check.h"
 #include "src/common/rng.h"
 
 namespace rpcscope {
@@ -55,11 +55,11 @@ std::string_view DistanceClassName(DistanceClass dc) {
 }
 
 Topology::Topology(const TopologyOptions& options) : options_(options) {
-  assert(options.continents > 0);
-  assert(options.metros_per_continent > 0);
-  assert(options.datacenters_per_metro > 0);
-  assert(options.clusters_per_datacenter > 0);
-  assert(options.machines_per_cluster > 0);
+  RPCSCOPE_CHECK_GT(options.continents, 0);
+  RPCSCOPE_CHECK_GT(options.metros_per_continent, 0);
+  RPCSCOPE_CHECK_GT(options.datacenters_per_metro, 0);
+  RPCSCOPE_CHECK_GT(options.clusters_per_datacenter, 0);
+  RPCSCOPE_CHECK_GT(options.machines_per_cluster, 0);
   int metro_id = 0;
   int dc_id = 0;
   for (int cont = 0; cont < options.continents; ++cont) {
@@ -76,8 +76,12 @@ Topology::Topology(const TopologyOptions& options) : options_(options) {
 }
 
 MachineId Topology::MachineAt(ClusterId cluster, int local_index) const {
-  assert(cluster >= 0 && cluster < num_clusters());
-  assert(local_index >= 0 && local_index < options_.machines_per_cluster);
+  // An index past either bound would name a machine of another cluster, or
+  // one past the topology.
+  RPCSCOPE_CHECK(cluster >= 0 && cluster < num_clusters())
+      << "cluster " << cluster << " of " << num_clusters();
+  RPCSCOPE_CHECK(local_index >= 0 && local_index < options_.machines_per_cluster)
+      << "machine " << local_index << " of " << options_.machines_per_cluster << " per cluster";
   return static_cast<MachineId>(cluster) * options_.machines_per_cluster + local_index;
 }
 

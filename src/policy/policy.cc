@@ -17,7 +17,7 @@ bool MethodPolicy::IsInherit() const {
   return pick_policy < 0 && subset_size < 0 && default_deadline < 0 && max_retries < 0 &&
          hedge_delay < 0 && outlier_enabled < 0 && retry_backoff < 0 && retry_backoff_cap < 0 &&
          attempt_timeout < 0 && retry_budget_max_tokens < 0 && retry_budget_refill < 0 &&
-         colocated_bypass < 0 && tax_profile < 0 && shed_on_deadline < 0;
+         colocated_bypass < 0 && shed_on_deadline < 0;
 }
 
 void MethodPolicy::MergeFrom(const MethodPolicy& over) {
@@ -33,7 +33,6 @@ void MethodPolicy::MergeFrom(const MethodPolicy& over) {
   if (over.retry_budget_max_tokens >= 0) retry_budget_max_tokens = over.retry_budget_max_tokens;
   if (over.retry_budget_refill >= 0) retry_budget_refill = over.retry_budget_refill;
   if (over.colocated_bypass >= 0) colocated_bypass = over.colocated_bypass;
-  if (over.tax_profile >= 0) tax_profile = over.tax_profile;
   if (over.shed_on_deadline >= 0) shed_on_deadline = over.shed_on_deadline;
 }
 
@@ -50,7 +49,6 @@ uint64_t MethodPolicy::ContentHash(uint64_t digest) const {
   digest = FnvMix(digest, DoubleBits(retry_budget_max_tokens));
   digest = FnvMix(digest, DoubleBits(retry_budget_refill));
   digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(colocated_bypass)));
-  digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(tax_profile)));
   digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(shed_on_deadline)));
   return digest;
 }

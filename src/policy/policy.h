@@ -4,7 +4,8 @@
 // argues that retries, load balancing, ejection, and shedding belong to a
 // fleet-operated policy plane, not to per-application library config. This
 // module is that plane for rpcscope: a PolicySnapshot is an immutable,
-// versioned bundle of resilience knobs keyed by (service, method) with
+// versioned bundle of resilience knobs (retries, load balancing, ejection,
+// shedding, the colocated bypass) keyed by (service, method) with
 // fleet-wide defaults; a PolicyTimeline is an authored sequence of snapshots
 // at virtual times (a staged rollout, a canary, an A/B flip); a per-shard
 // PolicyEngine walks the timeline at conservative-round barriers so every
@@ -56,11 +57,6 @@ struct MethodPolicy {
   // a call whose target resolves to the caller's own MachineId skips
   // serialization and the wire and hands the payload over by shared buffer.
   int32_t colocated_bypass = -1;      // 0 / 1.
-  // Hardware-offload tax profile: an id into the system's ProfileCatalog
-  // (docs/TAX.md#assigning-profiles-through-the-policy-plane). Resolved per
-  // call on both endpoints; the inherit sentinel and unknown ids price under
-  // `baseline`, the calibrated host pipeline.
-  int32_t tax_profile = -1;           // ProfileCatalog id.
 
   // Server-level knob (resolved per request).
   int32_t shed_on_deadline = -1;      // 0 / 1.

@@ -96,10 +96,6 @@ struct ServerReply {
   // in the client's own shard domain (never from the server's).
   SimDuration request_wire = 0;
   CycleBreakdown server_cycles;
-  // Cycles the server ran on its offload accelerator for this call (rx + tx
-  // sides; docs/TAX.md). 0 unless an offload profile was resolved. Rides the
-  // reply so the client's attempt record owns the whole call's device total.
-  double device_cycles = 0;
   // Colocated fast path (docs/POLICY.md#colocated-bypass): the response was
   // never encoded — local_response is the handler's payload handed back by
   // buffer, response_frame carries only the byte accounting (wire_bytes 0).

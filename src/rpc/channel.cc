@@ -1,11 +1,11 @@
 #include "src/rpc/channel.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 
 #include "src/checkpoint/checkpoint.h"
+#include "src/common/check.h"
 #include "src/rpc/rpc_system.h"
 
 namespace rpcscope {
@@ -19,8 +19,8 @@ Channel::Channel(Client* client, std::string service_name, std::vector<MachineId
       rng_(options.seed),
       outstanding_(all_backends_.size(), 0),
       health_(all_backends_.size()) {
-  assert(client != nullptr);
-  assert(!all_backends_.empty());
+  RPCSCOPE_CHECK(client != nullptr);
+  RPCSCOPE_CHECK(!all_backends_.empty());
   eligible_.reserve(all_backends_.size());
   ApplyCurrentPolicy();
 }

@@ -7,6 +7,7 @@
 #include "src/checkpoint/checkpoint.h"
 #include "src/rpc/codec.h"
 #include "src/rpc/server.h"
+#include "src/rpc/stage_model.h"
 
 namespace rpcscope {
 
@@ -49,11 +50,6 @@ struct Client::CallState {
   // Policy-resolved at issue time: attempts to this client's own machine take
   // the colocated fast path (docs/POLICY.md#colocated-bypass).
   bool colocated_bypass = false;
-  // Offload profile resolved at issue time (docs/TAX.md); -1 when the policy
-  // names none, which prices under `baseline`. Every attempt of the call
-  // prices its messages with the same profile even if a policy swap lands
-  // mid-call.
-  int32_t tax_profile = -1;
 };
 
 struct Client::Attempt {
@@ -73,9 +69,6 @@ struct Client::Attempt {
   // cycles it would have paid accumulate here and surface on the span.
   bool colocated = false;
   double avoided_tax_cycles = 0;
-  // Cycles this attempt ran on offload devices (client tx/rx + echoed server
-  // share); 0 unless the call's profile has a device rule.
-  double device_cycles = 0;
 };
 
 Client::Client(RpcSystem* system, MachineId machine, const ClientOptions& options)
@@ -87,7 +80,6 @@ Client::Client(RpcSystem* system, MachineId machine, const ClientOptions& option
                {.workers = options.tx_workers, .max_queue_depth = options.max_queue_depth}),
       rx_pool_(&shard_->sim(),
                {.workers = options.rx_workers, .max_queue_depth = options.max_queue_depth}),
-      accel_pool_(&shard_->sim(), {.workers = options.accel_workers}),
       backoff_rng_(Mix64(Mix64(system->options().seed ^ 0xb0ffull) ^
                          static_cast<uint64_t>(machine))),
       retry_budget_(options.retry_budget),
@@ -101,8 +93,7 @@ Client::Client(RpcSystem* system, MachineId machine, const ClientOptions& option
       completions_err_counter_(&shard_->metrics.GetCounter("client.completions_err")),
       colocated_counter_(&shard_->metrics.GetCounter("client.colocated_calls")),
       tax_cycles_counter_(&shard_->metrics.GetCounter("client.tax_cycles")),
-      avoided_tax_counter_(&shard_->metrics.GetCounter("client.avoided_tax_cycles")),
-      device_cycles_counter_(&shard_->metrics.GetCounter("client.device_cycles")) {
+      avoided_tax_counter_(&shard_->metrics.GetCounter("client.avoided_tax_cycles")) {
   policy_version_seen_ = shard_->policy.version();
   const MethodPolicy fleet = shard_->policy.current().Resolve(-1, -1);
   retry_budget_.Reconfigure(fleet.retry_budget_max_tokens, fleet.retry_budget_refill);
@@ -119,19 +110,6 @@ MethodPolicy Client::ResolveCallPolicy(int32_t service_id, MethodId method) {
     retry_budget_.Reconfigure(fleet.retry_budget_max_tokens, fleet.retry_budget_refill);
   }
   return engine.current().Resolve(service_id, method);
-}
-
-Counter* Client::ProfileCounter(std::vector<Counter*>& cache, int32_t profile_id,
-                                const char* suffix) {
-  const size_t idx = static_cast<size_t>(profile_id);
-  if (cache.size() <= idx) {
-    cache.resize(system_->tax_profiles().size(), nullptr);
-  }
-  if (cache[idx] == nullptr) {
-    const TaxProfile& profile = system_->tax_profiles().at(idx);
-    cache[idx] = &shard_->metrics.GetCounter("tax.profile." + profile.name + suffix);
-  }
-  return cache[idx];
 }
 
 void Client::CountCompletion(StatusCode code) {
@@ -176,11 +154,6 @@ void Client::Call(MachineId target, MethodId method, Payload request, const Call
   }
   st->colocated_bypass =
       policy.colocated_bypass >= 0 ? policy.colocated_bypass != 0 : colocated_bypass_base_;
-  // Offload profile (docs/TAX.md): resolved once at issue time so every
-  // attempt of this call prices consistently; ids the catalog doesn't know
-  // price under `baseline` like unset ones.
-  st->tax_profile =
-      system_->tax_profiles().Get(policy.tax_profile) != nullptr ? policy.tax_profile : -1;
 
   // Deadline propagation: a child call never outlives its parent's budget.
   if (st->options.parent_deadline_time > 0) {
@@ -276,21 +249,20 @@ void Client::StartAttempt(std::shared_ptr<CallState> st, MachineId target) {
   }
 
   const CycleCostModel& costs = system_->costs();
-  const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(st->tax_profile);
   WireFrame frame =
       EncodeFrame(st->request, system_->options().encryption_key, att->span_id, scratch_);
-  // Host cycles convert to tx service time; offloaded cycles become a
-  // device-queue hop before the wire.
-  const ProfileCost tx = profile.MessageCost(
-      costs, {.payload_bytes = frame.payload_bytes, .wire_bytes = frame.wire_bytes, .send = true});
-  att->device_cycles += tx.device_cycles;
-  const SimDuration tx_dev_time = profile.DeviceTime(tx.device_cycles);
-  att->cycles.Accumulate(tx.host);
+  const CycleBreakdown tx_cost =
+      BaselineProfile()
+          .MessageCost(costs, {.payload_bytes = frame.payload_bytes,
+                               .wire_bytes = frame.wire_bytes,
+                               .send = true})
+          .host;
+  att->cycles.Accumulate(tx_cost);
   att->request_wire_bytes = frame.wire_bytes;
   att->request_payload_bytes = frame.payload_bytes;
-  const SimDuration tx_time = costs.CyclesToDuration(tx.host.TaxTotal(), machine_speed_);
+  const SimDuration tx_time = costs.CyclesToDuration(tx_cost.TaxTotal(), machine_speed_);
 
-  tx_pool_.Submit(tx_time, [this, st, att, tx_dev_time, frame = std::move(frame)](
+  tx_pool_.Submit(tx_time, [this, st, att, frame = std::move(frame)](
                                SimDuration tx_wait, SimDuration tx_service) mutable {
     if (tx_wait == ServerResource::kRejected) {
       AttemptFinished(st, att, ResourceExhaustedError("client tx queue full"), Payload());
@@ -298,59 +270,42 @@ void Client::StartAttempt(std::shared_ptr<CallState> st, MachineId target) {
     }
     att->bd[RpcComponent::kClientSendQueue] = tx_wait;
     att->bd[RpcComponent::kRequestProcStack] = tx_service;
-    auto launch = [this, st, att, frame = std::move(frame)]() mutable {
-      const int64_t wire_bytes = frame.wire_bytes;
-      shard_->fabric.Send(
-          machine_, att->target, wire_bytes,
-          [this, st, att, frame = std::move(frame)](SimDuration wire) mutable {
-            // This delivery runs in the *target's* domain. Only immutable call
-            // state may be read here; the attempt's mutable fields belong to
-            // the client's domain, so the request-wire latency travels with
-            // the request and comes back echoed in the reply (same-domain
-            // also sets it now, preserving the legacy watchdog-span contents).
-            if (system_->ShardOf(att->target) == shard_->id()) {
-              att->bd[RpcComponent::kRequestWire] = wire;
-            }
-            Server* server = system_->ServerAt(att->target);
-            if (server == nullptr) {
-              FailAttemptFromTarget(st, att, wire,
-                                    UnavailableError("no server at target machine"));
-              return;
-            }
-            if (!server->up()) {
-              // Connection refused: a crashed-but-known machine fails fast,
-              // unlike a partitioned one (whose frames vanish silently).
-              FailAttemptFromTarget(st, att, wire, UnavailableError("server down"));
-              return;
-            }
-            IncomingRequest req;
-            req.method = st->method;
-            req.request_frame = std::move(frame);
-            req.client_machine = machine_;
-            req.deadline_time =
-                st->options.deadline > 0 ? st->issue_time + st->options.deadline : 0;
-            req.trace_id = st->trace_id;
-            req.span_id = att->span_id;
-            req.request_wire = wire;
-            req.service_id = st->options.service_id;
-            req.respond = [this, st, att](ServerReply reply) {
-              OnReply(st, att, std::move(reply));
-            };
-            server->DeliverRequest(std::move(req));
-          });
-    };
-    if (tx_dev_time > 0) {
-      // Offload hop: the message occupies an accelerator engine (transfer +
-      // device-clock execution) before hitting the wire; queueing delay at a
-      // busy device lands in the request's proc-stack component.
-      accel_pool_.Submit(tx_dev_time, [att, launch = std::move(launch)](
-                                          SimDuration dev_wait, SimDuration dev_service) mutable {
-        att->bd[RpcComponent::kRequestProcStack] += dev_wait + dev_service;
-        launch();
-      });
-    } else {
-      launch();
-    }
+    const int64_t wire_bytes = frame.wire_bytes;
+    shard_->fabric.Send(
+        machine_, att->target, wire_bytes,
+        [this, st, att, frame = std::move(frame)](SimDuration wire) mutable {
+          // This delivery runs in the *target's* domain. Only immutable call
+          // state may be read here; the attempt's mutable fields belong to
+          // the client's domain, so the request-wire latency travels with
+          // the request and comes back echoed in the reply (same-domain
+          // also sets it now, preserving the legacy watchdog-span contents).
+          if (system_->ShardOf(att->target) == shard_->id()) {
+            att->bd[RpcComponent::kRequestWire] = wire;
+          }
+          Server* server = system_->ServerAt(att->target);
+          if (server == nullptr) {
+            FailAttemptFromTarget(st, att, wire, UnavailableError("no server at target machine"));
+            return;
+          }
+          if (!server->up()) {
+            // Connection refused: a crashed-but-known machine fails fast,
+            // unlike a partitioned one (whose frames vanish silently).
+            FailAttemptFromTarget(st, att, wire, UnavailableError("server down"));
+            return;
+          }
+          IncomingRequest req;
+          req.method = st->method;
+          req.request_frame = std::move(frame);
+          req.client_machine = machine_;
+          req.deadline_time =
+              st->options.deadline > 0 ? st->issue_time + st->options.deadline : 0;
+          req.trace_id = st->trace_id;
+          req.span_id = att->span_id;
+          req.request_wire = wire;
+          req.service_id = st->options.service_id;
+          req.respond = [this, st, att](ServerReply reply) { OnReply(st, att, std::move(reply)); };
+          server->DeliverRequest(std::move(req));
+        });
   });
 }
 
@@ -450,9 +405,7 @@ void Client::OnReply(std::shared_ptr<CallState> st, std::shared_ptr<Attempt> att
   att->response_payload_bytes = reply.response_frame.payload_bytes;
 
   const CycleCostModel& costs = system_->costs();
-  const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(st->tax_profile);
   CycleBreakdown rx_cost;
-  double rx_device_cycles = 0;
   if (reply.colocated) {
     // Response direction of the fast path: bookkeeping only; the decode
     // pipeline the response skipped is recorded as avoided tax.
@@ -460,58 +413,42 @@ void Client::OnReply(std::shared_ptr<CallState> st, std::shared_ptr<Attempt> att
     att->avoided_tax_cycles += AvoidedDirectionTax(costs, reply.response_frame.payload_bytes,
                                                    EstimateWireBytes(reply.local_response));
   } else {
-    const ProfileCost rx = profile.MessageCost(
-        costs, {.payload_bytes = reply.response_frame.payload_bytes,
-                .wire_bytes = reply.response_frame.wire_bytes,
-                .send = false});
-    rx_cost = rx.host;
-    rx_device_cycles = rx.device_cycles;
+    rx_cost = BaselineProfile()
+                  .MessageCost(costs, {.payload_bytes = reply.response_frame.payload_bytes,
+                                       .wire_bytes = reply.response_frame.wire_bytes,
+                                       .send = false})
+                  .host;
   }
-  att->device_cycles += rx_device_cycles + reply.device_cycles;
-  const SimDuration rx_dev_time = profile.DeviceTime(rx_device_cycles);
   const SimDuration rx_time =
       costs.CyclesToDuration(rx_cost.TaxTotal(), machine_speed_) + rx_processing_overhead_;
 
-  auto deliver = [this, st, att, reply = std::move(reply), rx_cost, rx_time]() mutable {
-    rx_pool_.Submit(rx_time, [this, st, att, reply = std::move(reply), rx_cost](
-                                 SimDuration rx_wait, SimDuration rx_service) mutable {
-      if (rx_wait == ServerResource::kRejected) {
-        AttemptFinished(st, att, ResourceExhaustedError("client rx queue full"), Payload());
-        return;
-      }
-      att->bd[RpcComponent::kClientRecvQueue] = rx_wait;
-      att->bd[RpcComponent::kResponseProcStack] += rx_service;
-      att->cycles.Accumulate(rx_cost);
-      Payload response;
-      Status status = reply.status;
-      if (status.ok()) {
-        if (reply.colocated) {
-          // The response was never encoded: take the payload by buffer.
-          response = std::move(reply.local_response);
+  rx_pool_.Submit(rx_time, [this, st, att, reply = std::move(reply), rx_cost](
+                               SimDuration rx_wait, SimDuration rx_service) mutable {
+    if (rx_wait == ServerResource::kRejected) {
+      AttemptFinished(st, att, ResourceExhaustedError("client rx queue full"), Payload());
+      return;
+    }
+    att->bd[RpcComponent::kClientRecvQueue] = rx_wait;
+    att->bd[RpcComponent::kResponseProcStack] += rx_service;
+    att->cycles.Accumulate(rx_cost);
+    Payload response;
+    Status status = reply.status;
+    if (status.ok()) {
+      if (reply.colocated) {
+        // The response was never encoded: take the payload by buffer.
+        response = std::move(reply.local_response);
+      } else {
+        Result<Payload> decoded =
+            DecodeFrame(reply.response_frame, system_->options().encryption_key, scratch_);
+        if (decoded.ok()) {
+          response = std::move(decoded.value());
         } else {
-          Result<Payload> decoded =
-              DecodeFrame(reply.response_frame, system_->options().encryption_key, scratch_);
-          if (decoded.ok()) {
-            response = std::move(decoded.value());
-          } else {
-            status = decoded.status();
-          }
+          status = decoded.status();
         }
       }
-      AttemptFinished(st, att, std::move(status), std::move(response));
-    });
-  };
-  if (rx_dev_time > 0) {
-    // Receive-side offload hop (NIC/accelerator work before host rx): device
-    // wait + execution land in the response's proc-stack component.
-    accel_pool_.Submit(rx_dev_time, [att, deliver = std::move(deliver)](
-                                        SimDuration dev_wait, SimDuration dev_service) mutable {
-      att->bd[RpcComponent::kResponseProcStack] += dev_wait + dev_service;
-      deliver();
-    });
-  } else {
-    deliver();
-  }
+    }
+    AttemptFinished(st, att, std::move(status), std::move(response));
+  });
 }
 
 void Client::RecordAttemptSpan(const CallState& st, const Attempt& att, StatusCode code) {
@@ -545,21 +482,6 @@ void Client::RecordAttemptSpan(const CallState& st, const Attempt& att, StatusCo
   if (att.colocated) {
     avoided_tax_cycles_ += att.avoided_tax_cycles;
     avoided_tax_counter_->Increment(att.avoided_tax_cycles);
-  }
-  if (att.device_cycles > 0) {
-    device_cycles_ += att.device_cycles;
-    device_cycles_counter_->Increment(att.device_cycles);
-  }
-  if (st.tax_profile >= 0) {
-    // Per-profile streamed tax counters (docs/TAX.md#per-profile-counters):
-    // only calls whose policy names a profile touch these, so runs that name
-    // none keep registries without them.
-    ProfileCounter(profile_tax_counters_, st.tax_profile, ".tax_cycles")
-        ->Increment(att.cycles.TaxTotal());
-    if (att.device_cycles > 0) {
-      ProfileCounter(profile_device_counters_, st.tax_profile, ".device_cycles")
-          ->Increment(att.device_cycles);
-    }
   }
   if (st.options.attempt_observer) {
     st.options.attempt_observer(att.target, code, att.bd.Total());
@@ -672,15 +594,11 @@ Status Client::CheckpointTo(CheckpointWriter& w) const {
   w.WriteU64(policy_version_seen_);
   w.WriteU64(colocated_calls_);
   w.WriteDouble(avoided_tax_cycles_);
-  w.WriteDouble(device_cycles_);
   w.EndSection();
   if (Status s = tx_pool_.CheckpointTo(w); !s.ok()) {
     return s;
   }
-  if (Status s = rx_pool_.CheckpointTo(w); !s.ok()) {
-    return s;
-  }
-  return accel_pool_.CheckpointTo(w);
+  return rx_pool_.CheckpointTo(w);
 }
 
 Status Client::RestoreFrom(CheckpointReader& r) {
@@ -711,7 +629,6 @@ Status Client::RestoreFrom(CheckpointReader& r) {
   const uint64_t policy_version_seen = r.ReadU64();
   const uint64_t colocated_calls = r.ReadU64();
   const double avoided_tax_cycles = r.ReadDouble();
-  const double device_cycles = r.ReadDouble();
   if (Status s = r.LeaveSection(); !s.ok()) {
     return s;
   }
@@ -737,7 +654,6 @@ Status Client::RestoreFrom(CheckpointReader& r) {
   wasted_cycles_ = wasted_cycles;
   colocated_calls_ = colocated_calls;
   avoided_tax_cycles_ = avoided_tax_cycles;
-  device_cycles_ = device_cycles;
   // The engine is restored before the components (docs/POLICY.md): re-apply
   // the fleet-default budget shape for the current snapshot so the derived
   // budget configuration matches the checkpointed run. The saved version may
@@ -750,10 +666,7 @@ Status Client::RestoreFrom(CheckpointReader& r) {
   if (Status s = tx_pool_.RestoreFrom(r); !s.ok()) {
     return s;
   }
-  if (Status s = rx_pool_.RestoreFrom(r); !s.ok()) {
-    return s;
-  }
-  return accel_pool_.RestoreFrom(r);
+  return rx_pool_.RestoreFrom(r);
 }
 
 }  // namespace rpcscope

@@ -12,12 +12,15 @@
 // watchdog that converts lost frames into prompt UNAVAILABLEs, and nested
 // calls inherit the remaining parent deadline (CallOptions::
 // parent_deadline_time) so work past a dead deadline stops immediately.
+//
+// Every frame the client encodes or decodes is priced under the baseline
+// tax profile, the calibrated host pipeline (docs/TAX.md). Offload profiles
+// act only in the offline what-if (AnalyzeOffloadWhatIf).
 #ifndef RPCSCOPE_SRC_RPC_CLIENT_H_
 #define RPCSCOPE_SRC_RPC_CLIENT_H_
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/monitor/metrics.h"
 #include "src/rpc/call.h"
@@ -34,11 +37,6 @@ class CheckpointReader;
 struct ClientOptions {
   int tx_workers = 2;
   int rx_workers = 2;
-  // Engines on this machine's offload accelerator (docs/TAX.md). The device
-  // queue exists only for calls whose resolved tax profile offloads stages
-  // (a device stage rule); other calls never touch it, so the pool is inert
-  // — and digest-neutral — unless a profile routes work through it.
-  int accel_workers = 2;
   // Bound on the tx/rx pipeline queues. When set and exceeded the call fails
   // promptly with RESOURCE_EXHAUSTED (span recorded) before any encode
   // cycles are paid; 0 = unbounded.
@@ -97,11 +95,6 @@ class Client {
   uint64_t colocated_calls() const { return colocated_calls_; }
   double avoided_tax_cycles() const { return avoided_tax_cycles_; }
 
-  // Offload accounting (docs/TAX.md): cycles this client's calls ran on
-  // accelerator devices — client tx/rx sides plus the server's echoed share —
-  // attributed to the whole call like the rest of the attempt's cycle record.
-  double device_cycles() const { return device_cycles_; }
-
   // Checkpoint support (docs/ROBUSTNESS.md#checkpointrestore). Valid only at
   // a quiescent barrier: no call may be in flight, so the tx/rx pools must be
   // idle. Serialize fails with FailedPrecondition otherwise; Restore applies
@@ -132,10 +125,6 @@ class Client {
                        Status status, Payload response);
   void RecordAttemptSpan(const CallState& st, const Attempt& att, StatusCode code);
   void CountCompletion(StatusCode code);
-  // Lazily-cached per-profile tax counter ("tax.profile.<name><suffix>").
-  // Lazy on purpose: runs whose policy names no profile create no counters,
-  // so their registries (and checkpoints) carry none.
-  Counter* ProfileCounter(std::vector<Counter*>& cache, int32_t profile_id, const char* suffix);
 
   RpcSystem* system_;  // NOLINT(detan-checkpoint-field) structural
   MachineId machine_;
@@ -145,11 +134,6 @@ class Client {
   double machine_speed_;
   ServerResource tx_pool_;
   ServerResource rx_pool_;
-  // Offload-device queue (docs/TAX.md#device-queueing): messages whose
-  // resolved profile moves stage cycles to a device occupy one of its engines
-  // for transfer latency + device-clock execution time. Idle (no events, no
-  // cycles) unless a profile offloads.
-  ServerResource accel_pool_;
   // Seeded from the system seed and the machine id: distinct clients must
   // draw *different* full-jitter backoff sequences or a fleet of them
   // retries in lockstep — the thundering herd jitter exists to break.
@@ -174,7 +158,6 @@ class Client {
   uint64_t colocated_calls_ = 0;
   double wasted_cycles_ = 0;
   double avoided_tax_cycles_ = 0;
-  double device_cycles_ = 0;
   // Cached registry counters (stable addresses; see RpcSystem::metrics()).
   // Restored through MetricRegistry::Restore, not here.
   Counter* retries_counter_;          // NOLINT(detan-checkpoint-field) structural
@@ -186,11 +169,6 @@ class Client {
   Counter* colocated_counter_;        // NOLINT(detan-checkpoint-field) structural
   Counter* tax_cycles_counter_;       // NOLINT(detan-checkpoint-field) structural
   Counter* avoided_tax_counter_;      // NOLINT(detan-checkpoint-field) structural
-  Counter* device_cycles_counter_;    // NOLINT(detan-checkpoint-field) structural
-  // Per-profile streamed tax counters, indexed by profile id; entries are
-  // created on first use (see ProfileCounter).
-  std::vector<Counter*> profile_tax_counters_;     // NOLINT(detan-checkpoint-field) structural
-  std::vector<Counter*> profile_device_counters_;  // NOLINT(detan-checkpoint-field) structural
 };
 
 }  // namespace rpcscope

@@ -4,10 +4,10 @@
 // Ratel compression, stream-cipher encryption, CRC32C framing); modeled
 // payloads compute the same sizes from the assumed compression ratio without
 // materializing bytes. The codec produces *bytes and sizes* only; the cycle
-// cost of each stage is charged separately by the tax pipeline, per the
-// resolved stage-cost profile (src/rpc/stage_model.h, docs/TAX.md) — offload
-// profiles reprice stages without changing what goes on the wire. Frame
-// layout:
+// cost of each stage is charged separately by the tax pipeline, under the
+// baseline stage-cost profile (src/rpc/stage_model.h, docs/TAX.md); the
+// offline what-if's offload profiles reprice stages without changing what
+// goes on the wire. Frame layout:
 //   [u8 flags][varint payload_bytes][varint body_len][u32 crc][u64 nonce][body]
 #ifndef RPCSCOPE_SRC_RPC_CODEC_H_
 #define RPCSCOPE_SRC_RPC_CODEC_H_

@@ -12,16 +12,6 @@
 
 namespace rpcscope {
 
-namespace {
-
-// The has-sink ("shard" section) and has-hub ("rpc_system" section) flags of
-// the checkpoint format. Every system builds its sinks and hub, so both are
-// always true, and a restore rejects any other value.
-constexpr bool kHasStreamSink = true;
-constexpr bool kHasHub = true;
-
-}  // namespace
-
 RpcSystem::RpcSystem(const RpcSystemOptions& options)
     : options_(options), topology_(options.topology) {
   const int num_shards = std::clamp(options.num_shards, 1, topology_.num_clusters());
@@ -174,7 +164,6 @@ Status RpcSystem::SerializeShard(int s, CheckpointWriter& w) const {
   w.WriteU32(static_cast<uint32_t>(s));
   w.WriteU32(static_cast<uint32_t>(num_shards()));
   WriteRngState(w, ctx.rng);
-  w.WriteBool(kHasStreamSink);
   w.EndSection();
   if (Status st = ctx.domain.CheckpointTo(w); !st.ok()) {
     return st;
@@ -203,16 +192,12 @@ Status RpcSystem::RestoreShard(int s, CheckpointReader& r) {
   const uint32_t shard_count = r.ReadU32();
   Rng rng(0);
   ReadRngState(r, rng);
-  const bool has_sink = r.ReadBool();
   if (Status st = r.LeaveSection(); !st.ok()) {
     return st;
   }
   if (shard_id != static_cast<uint32_t>(s) ||
       shard_count != static_cast<uint32_t>(num_shards())) {
     return FailedPreconditionError("shard: checkpoint is for a different shard layout");
-  }
-  if (has_sink != kHasStreamSink) {
-    return FailedPreconditionError("shard: streaming observability enablement mismatch");
   }
   ctx.rng = rng;
   if (Status st = ctx.domain.RestoreFrom(r); !st.ok()) {
@@ -239,7 +224,6 @@ Status RpcSystem::SerializeGlobal(CheckpointWriter& w) const {
   w.WriteU32(static_cast<uint32_t>(shards_.size()));
   w.WriteU64(total_rounds_);
   w.WriteU64(total_cross_domain_events_);
-  w.WriteBool(kHasHub);
   w.EndSection();
   return hub_->CheckpointTo(w);
 }
@@ -252,15 +236,11 @@ Status RpcSystem::RestoreGlobal(CheckpointReader& r) {
   const uint32_t shard_count = r.ReadU32();
   const uint64_t total_rounds = r.ReadU64();
   const uint64_t total_cross_domain_events = r.ReadU64();
-  const bool has_hub = r.ReadBool();
   if (Status st = r.LeaveSection(); !st.ok()) {
     return st;
   }
   if (seed != options_.seed || shard_count != shards_.size()) {
     return FailedPreconditionError("rpc_system: checkpoint is for a different configuration");
-  }
-  if (has_hub != kHasHub) {
-    return FailedPreconditionError("rpc_system: observability hub enablement mismatch");
   }
   total_rounds_ = total_rounds;
   total_cross_domain_events_ = total_cross_domain_events;
@@ -333,24 +313,6 @@ double RpcSystem::MergedCounter(const std::string& name) const {
     }
   }
   return total;
-}
-
-LogHistogram RpcSystem::MergedDistribution(const std::string& name) const {
-  LogHistogram merged;
-  bool first = true;
-  for (const auto& shard : shards_) {
-    const DistributionMetric* dist = shard->metrics.FindDistribution(name);
-    if (dist == nullptr) {
-      continue;
-    }
-    if (first) {
-      merged = dist->histogram();
-      first = false;
-    } else {
-      merged.Merge(dist->histogram());
-    }
-  }
-  return merged;
 }
 
 double RpcSystem::MachineSpeed(MachineId machine) const {

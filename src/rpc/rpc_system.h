@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/monitor/metrics.h"
 #include "src/monitor/stream.h"
@@ -29,7 +28,6 @@
 #include "src/net/topology.h"
 #include "src/policy/policy.h"
 #include "src/rpc/cost_model.h"
-#include "src/rpc/stage_model.h"
 #include "src/sim/domain.h"
 #include "src/sim/lookahead.h"
 #include "src/sim/simulator.h"
@@ -126,18 +124,13 @@ class RpcSystem {
   // be measured under chaos. Components cache Counter pointers at
   // construction — GetCounter returns stable references — so the per-call
   // cost is a single add. Sharded runs count into their own shard's registry;
-  // aggregate with MergedCounter/MergedDistribution.
+  // aggregate with MergedCounter.
   MetricRegistry& metrics() { return shards_[0]->metrics; }
   Rng& rng() { return shards_[0]->rng; }
 
   const Topology& topology() const { return topology_; }
   const CycleCostModel& costs() const { return options_.costs; }
   const RpcSystemOptions& options() const { return options_; }
-
-  // The tax profiles MethodPolicy::tax_profile ids index (docs/TAX.md):
-  // BuiltinProfileCatalog(). Every message the stack encodes is priced under
-  // tax_profiles().GetOrBaseline(resolved id).
-  const ProfileCatalog& tax_profiles() const { return BuiltinProfileCatalog(); }
 
   // Shard-domain structure. Clusters are partitioned into contiguous blocks:
   // shard s owns clusters [ceil(s*C/N), ceil((s+1)*C/N)). Because cluster ids
@@ -239,9 +232,6 @@ class RpcSystem {
   std::vector<Span> MergedSpans() const;
   // Sum of a counter across shard registries (0 where absent).
   double MergedCounter(const std::string& name) const;
-  // Merge of a distribution across shard registries via LogHistogram::Merge
-  // (layout equality CHECK-enforced). Default-layout empty result if absent.
-  LogHistogram MergedDistribution(const std::string& name) const;
 
   // Per-machine relative CPU speed (deterministic; models CPU generations).
   double MachineSpeed(MachineId machine) const;

@@ -1,10 +1,11 @@
 #include "src/rpc/server.h"
 
-#include <cassert>
 #include <utility>
 
 #include "src/checkpoint/checkpoint.h"
+#include "src/common/check.h"
 #include "src/rpc/codec.h"
+#include "src/rpc/stage_model.h"
 
 namespace rpcscope {
 
@@ -19,13 +20,6 @@ struct ServerCall::InflightCall {
   SimDuration recv_known = 0;
   size_t index = 0;  // Position in Server::inflight_ (swap-erase bookkeeping).
   bool responded = false;
-  // Tax profile id resolved once at delivery time (-1 and unknown ids price
-  // under `baseline`) so rx and tx sides price consistently even if the
-  // policy plane hot-swaps profiles at a barrier mid-call. See docs/TAX.md.
-  int32_t tax_profile = -1;
-  // Device cycles charged on the receive side; echoed back with the reply
-  // (plus the tx side) so the client owns the whole call's device total.
-  double rx_device_cycles = 0;
 };
 
 MachineId ServerCall::server_machine() const { return server_->machine(); }
@@ -66,10 +60,8 @@ Server::Server(RpcSystem* system, MachineId machine, const ServerOptions& option
                 {.workers = options.app_workers, .max_queue_depth = options.max_app_queue_depth}),
       tx_pool_(&shard_->sim(),
                {.workers = options.io_workers, .max_queue_depth = options.max_io_queue_depth}),
-      accel_pool_(&shard_->sim(), {.workers = options.accel_workers}),
       shed_counter_(&shard_->metrics.GetCounter("server.shed")),
-      crash_killed_counter_(&shard_->metrics.GetCounter("server.crash_killed")),
-      device_cycles_counter_(&shard_->metrics.GetCounter("server.device_cycles")) {
+      crash_killed_counter_(&shard_->metrics.GetCounter("server.crash_killed")) {
   system_->RegisterServer(machine_, this);
 }
 
@@ -142,9 +134,6 @@ void Server::RespondError(const std::shared_ptr<InflightCall>& fl, const CycleBr
   reply.status = std::move(status);
   reply.recv_queue = recv_queue;
   reply.server_cycles = cycles;
-  // Device cycles already spent on the rx side still get accounted, even
-  // though the error reply itself skips the send pipeline.
-  reply.device_cycles = fl->rx_device_cycles;
   if (fl->req.colocated) {
     // Error replies to colocated calls stay off the wire too.
     reply.colocated = true;
@@ -171,7 +160,6 @@ void Server::Crash() {
   rx_pool_.Reset();
   app_pool_.Reset();
   tx_pool_.Reset();
-  accel_pool_.Reset();
   // Answer every registered call with a connection reset. Swap the registry
   // out first: RespondInflight unregisters as it goes.
   std::vector<std::shared_ptr<InflightCall>> killed;
@@ -197,148 +185,114 @@ void Server::DeliverRequest(IncomingRequest request) {
   fl->req = std::move(request);
   RegisterInflight(fl);
   const CycleCostModel& costs = system_->costs();
-  // Offload profile for this request, resolved once at delivery time so rx
-  // and tx price under the same model even across a barrier policy swap
-  // (docs/TAX.md#assigning-profiles-through-the-policy-plane). Resolve() is a
-  // pure read of the current snapshot, so the extra call is deterministic.
-  fl->tax_profile =
-      shard_->policy.current().Resolve(fl->req.service_id, fl->req.method).tax_profile;
   // Colocated requests arrive by shared buffer: no decrypt/parse pipeline,
   // only the RPC library hand-off (the skipped stages are the client's
   // per-span avoided tax; docs/POLICY.md#colocated-bypass).
-  CycleBreakdown rx_cost;
-  SimDuration rx_dev_time = 0;
-  if (fl->req.colocated) {
-    rx_cost = costs.LocalDeliveryCost();
-  } else {
-    const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(fl->tax_profile);
-    const ProfileCost rx = profile.MessageCost(
-        costs, {.payload_bytes = fl->req.request_frame.payload_bytes,
-                .wire_bytes = fl->req.request_frame.wire_bytes,
-                .send = false});
-    rx_cost = rx.host;
-    fl->rx_device_cycles = rx.device_cycles;
-    if (rx.device_cycles > 0) {
-      device_cycles_ += rx.device_cycles;
-      device_cycles_counter_->Increment(rx.device_cycles);
-      rx_dev_time = profile.DeviceTime(rx.device_cycles);
-    }
-  }
-
+  const CycleBreakdown rx_cost =
+      fl->req.colocated
+          ? costs.LocalDeliveryCost()
+          : BaselineProfile()
+                .MessageCost(costs, {.payload_bytes = fl->req.request_frame.payload_bytes,
+                                     .wire_bytes = fl->req.request_frame.wire_bytes,
+                                     .send = false})
+                .host;
   const SimDuration rx_time = costs.CyclesToDuration(rx_cost.TaxTotal(), machine_speed_);
-  // With an offloading profile, the frame crosses the device (transfer +
-  // device-clock execution, queued behind other offloaded work) before the
-  // host-side rx pipeline; the device wait lands in the recv-queue component.
-  auto ingest = [this, fl, rx_cost, rx_time](SimDuration dev_extra) {
-    rx_pool_.Submit(rx_time, [this, fl, rx_cost, dev_extra](SimDuration rx_wait,
-                                                           SimDuration rx_service) {
-      if (rx_wait == ServerResource::kRejected) {
-        RespondError(fl, rx_cost, 0, ResourceExhaustedError("server rx queue full"));
+  rx_pool_.Submit(rx_time, [this, fl, rx_cost](SimDuration rx_wait, SimDuration rx_service) {
+    if (rx_wait == ServerResource::kRejected) {
+      RespondError(fl, rx_cost, 0, ResourceExhaustedError("server rx queue full"));
+      return;
+    }
+    const SimDuration recv_so_far = rx_wait + rx_service;
+    fl->recv_known = recv_so_far;
+    // Breakwater-style admission control, applied at the moment the request
+    // would join the app queue (where the depth it must wait behind is
+    // known): if the caller's remaining budget cannot cover the expected
+    // wait, shed now rather than time the request out after doing the work.
+    bool shed_on_deadline = options_.shed_on_deadline;
+    const MethodPolicy policy =
+        shard_->policy.current().Resolve(fl->req.service_id, fl->req.method);
+    if (policy.shed_on_deadline >= 0) {
+      shed_on_deadline = policy.shed_on_deadline != 0;
+    }
+    if (shed_on_deadline && fl->req.deadline_time > 0 && app_time_ewma_ns_ > 0) {
+      const double expected_wait_ns =
+          static_cast<double>(app_pool_.queue_depth()) /
+          static_cast<double>(options_.app_workers) * app_time_ewma_ns_;
+      if (static_cast<double>(shard_->sim().Now()) + expected_wait_ns >
+          static_cast<double>(fl->req.deadline_time)) {
+        ++requests_shed_;
+        shed_counter_->Increment();
+        RespondError(fl, rx_cost, recv_so_far,
+                     ResourceExhaustedError("server shed: deadline unmeetable"));
         return;
       }
-      const SimDuration recv_so_far = dev_extra + rx_wait + rx_service;
-      fl->recv_known = recv_so_far;
-      // Breakwater-style admission control, applied at the moment the request
-      // would join the app queue (where the depth it must wait behind is
-      // known): if the caller's remaining budget cannot cover the expected
-      // wait, shed now rather than time the request out after doing the work.
-      bool shed_on_deadline = options_.shed_on_deadline;
-      const MethodPolicy policy =
-          shard_->policy.current().Resolve(fl->req.service_id, fl->req.method);
-      if (policy.shed_on_deadline >= 0) {
-        shed_on_deadline = policy.shed_on_deadline != 0;
+    }
+    const int priority = options_.request_priority ? options_.request_priority(fl->req) : 0;
+    app_pool_.AcquireWithPriority(priority, [this, fl, rx_cost, recv_so_far](SimDuration app_wait) {
+      if (app_wait == ServerResource::kRejected) {
+        RespondError(fl, rx_cost, recv_so_far, ResourceExhaustedError("server app queue full"));
+        return;
       }
-      if (shed_on_deadline && fl->req.deadline_time > 0 && app_time_ewma_ns_ > 0) {
-        const double expected_wait_ns =
-            static_cast<double>(app_pool_.queue_depth()) /
-            static_cast<double>(options_.app_workers) * app_time_ewma_ns_;
-        if (static_cast<double>(shard_->sim().Now()) + expected_wait_ns >
-            static_cast<double>(fl->req.deadline_time)) {
-          ++requests_shed_;
-          shed_counter_->Increment();
-          RespondError(fl, rx_cost, recv_so_far,
-                       ResourceExhaustedError("server shed: deadline unmeetable"));
+      // Scheduler wake-up delay before the handler actually starts running;
+      // the worker is held throughout.
+      const SimDuration wakeup = options_.wakeup_latency;
+      shard_->sim().Schedule(wakeup, [this, fl, rx_cost, recv_so_far, app_wait, wakeup]() {
+        if (fl->responded) {
+          // The server crashed while this request waited for its wakeup: the
+          // caller was already told UNAVAILABLE and the pools were reset, so
+          // there is no worker to release and nothing left to do.
           return;
         }
-      }
-      const int priority =
-          options_.request_priority ? options_.request_priority(fl->req) : 0;
-      app_pool_.AcquireWithPriority(priority, [this, fl, rx_cost,
-                                               recv_so_far](SimDuration app_wait) {
-        if (app_wait == ServerResource::kRejected) {
-          RespondError(fl, rx_cost, recv_so_far,
-                       ResourceExhaustedError("server app queue full"));
+        fl->recv_known = recv_so_far + app_wait + wakeup;
+        // Deadline short-circuit: if the caller's budget already expired
+        // while the request queued, don't burn handler cycles on a result
+        // nobody will read (the client records DEADLINE_EXCEEDED).
+        if (fl->req.deadline_time > 0 && shard_->sim().Now() > fl->req.deadline_time) {
+          app_pool_.Release();
+          RespondError(fl, rx_cost, recv_so_far + app_wait + wakeup,
+                       DeadlineExceededError("deadline expired before handler start"));
           return;
         }
-        // Scheduler wake-up delay before the handler actually starts running;
-        // the worker is held throughout.
-        const SimDuration wakeup = options_.wakeup_latency;
-        shard_->sim().Schedule(wakeup, [this, fl, rx_cost, recv_so_far, app_wait, wakeup]() {
-          if (fl->responded) {
-            // The server crashed while this request waited for its wakeup: the
-            // caller was already told UNAVAILABLE and the pools were reset, so
-            // there is no worker to release and nothing left to do.
-            return;
-          }
-          fl->recv_known = recv_so_far + app_wait + wakeup;
-          // Deadline short-circuit: if the caller's budget already expired
-          // while the request queued, don't burn handler cycles on a result
-          // nobody will read (the client records DEADLINE_EXCEEDED).
-          if (fl->req.deadline_time > 0 && shard_->sim().Now() > fl->req.deadline_time) {
+        Payload request_payload;
+        if (fl->req.colocated) {
+          // The payload was handed over by buffer; there is no frame to decode.
+          request_payload = std::move(fl->req.local_payload);
+        } else {
+          Result<Payload> decoded =
+              DecodeFrame(fl->req.request_frame, system_->options().encryption_key, scratch_);
+          if (!decoded.ok()) {
             app_pool_.Release();
-            RespondError(fl, rx_cost, recv_so_far + app_wait + wakeup,
-                         DeadlineExceededError("deadline expired before handler start"));
+            RespondError(fl, rx_cost, recv_so_far + app_wait + wakeup, decoded.status());
             return;
           }
-          Payload request_payload;
-          if (fl->req.colocated) {
-            // The payload was handed over by buffer; there is no frame to decode.
-            request_payload = std::move(fl->req.local_payload);
-          } else {
-            Result<Payload> decoded =
-                DecodeFrame(fl->req.request_frame, system_->options().encryption_key, scratch_);
-            if (!decoded.ok()) {
-              app_pool_.Release();
-              RespondError(fl, rx_cost, recv_so_far + app_wait + wakeup, decoded.status());
-              return;
-            }
-            request_payload = std::move(decoded.value());
-          }
-          auto call = std::make_shared<ServerCall>();
-          call->server_ = this;
-          call->request_ = std::move(request_payload);
-          call->method_ = fl->req.method;
-          call->client_machine_ = fl->req.client_machine;
-          call->deadline_time_ = fl->req.deadline_time;
-          call->trace_id_ = fl->req.trace_id;
-          call->span_id_ = fl->req.span_id;
-          call->app_start_ = shard_->sim().Now();
-          call->recv_queue_ = recv_so_far + app_wait + wakeup;
-          call->inflight_ = fl;
-          call->cycles_ = rx_cost;
-          call->self_ = call;
-          auto it = handlers_.find(fl->req.method);
-          if (it == handlers_.end()) {
-            call->Finish(UnimplementedError("no such method"), Payload::Modeled(64));
-            return;
-          }
-          it->second(call);
-        });
+          request_payload = std::move(decoded.value());
+        }
+        auto call = std::make_shared<ServerCall>();
+        call->server_ = this;
+        call->request_ = std::move(request_payload);
+        call->method_ = fl->req.method;
+        call->client_machine_ = fl->req.client_machine;
+        call->deadline_time_ = fl->req.deadline_time;
+        call->trace_id_ = fl->req.trace_id;
+        call->span_id_ = fl->req.span_id;
+        call->app_start_ = shard_->sim().Now();
+        call->recv_queue_ = recv_so_far + app_wait + wakeup;
+        call->inflight_ = fl;
+        call->cycles_ = rx_cost;
+        call->self_ = call;
+        auto it = handlers_.find(fl->req.method);
+        if (it == handlers_.end()) {
+          call->Finish(UnimplementedError("no such method"), Payload::Modeled(64));
+          return;
+        }
+        it->second(call);
       });
     });
-  };
-  if (rx_dev_time > 0) {
-    accel_pool_.Submit(rx_dev_time, [ingest = std::move(ingest)](
-                                        SimDuration dev_wait, SimDuration dev_service) mutable {
-      ingest(dev_wait + dev_service);
-    });
-  } else {
-    ingest(0);
-  }
+  });
 }
 
 void Server::FinishCall(ServerCall* call, Status status, Payload response) {
-  assert(!call->finished_);
+  RPCSCOPE_CHECK(!call->finished_) << "a handler finished its call twice";
   call->finished_ = true;
   std::shared_ptr<InflightCall> fl = call->inflight_;
   if (fl->responded) {
@@ -360,77 +314,42 @@ void Server::FinishCall(ServerCall* call, Status status, Payload response) {
   app_time_ewma_ns_ =
       app_time_ewma_ns_ == 0 ? sample_ns : 0.9 * app_time_ewma_ns_ + 0.1 * sample_ns;
 
+  ServerReply reply;
+  reply.status = std::move(status);
+  reply.app_time = app_time;
+  CycleBreakdown tx_cost;
   if (fl->req.colocated) {
     // Colocated fast path: the response is never serialized — it is handed
     // back by buffer. Only the library hand-off is charged; the skipped
     // encode/wire stages land on the client span as avoided tax.
-    const CycleBreakdown tx_cost = costs.LocalDeliveryCost();
-    call->cycles_.Accumulate(tx_cost);
-    const SimDuration tx_time = costs.CyclesToDuration(tx_cost.TaxTotal(), machine_speed_);
-    std::shared_ptr<ServerCall> self = call->self_;
-    tx_pool_.Submit(
-        tx_time, [this, self, fl, status = std::move(status), response = std::move(response),
-                  app_time](SimDuration tx_wait, SimDuration tx_service) mutable {
-          ServerReply reply;
-          reply.status = std::move(status);
-          reply.recv_queue = self->recv_queue_;
-          reply.app_time = app_time;
-          reply.send_queue = tx_wait == ServerResource::kRejected ? 0 : tx_wait;
-          reply.resp_proc = tx_service;
-          reply.server_cycles = self->cycles_;
-          reply.colocated = true;
-          reply.response_frame.payload_bytes = response.SerializedSize();
-          reply.local_response = std::move(response);
-          self->self_.reset();
-          RespondInflight(fl, std::move(reply), 0);
-        });
-    return;
+    tx_cost = costs.LocalDeliveryCost();
+    reply.colocated = true;
+    reply.response_frame.payload_bytes = response.SerializedSize();
+    reply.local_response = std::move(response);
+  } else {
+    reply.response_frame = EncodeFrame(response, system_->options().encryption_key,
+                                       call->span_id_ ^ 0x1, scratch_);
+    tx_cost = BaselineProfile()
+                  .MessageCost(costs, {.payload_bytes = reply.response_frame.payload_bytes,
+                                       .wire_bytes = reply.response_frame.wire_bytes,
+                                       .send = true})
+                  .host;
   }
-
-  WireFrame frame =
-      EncodeFrame(response, system_->options().encryption_key, call->span_id_ ^ 0x1, scratch_);
-  // Price the send side under the profile resolved at delivery time.
-  // Offloaded cycles run on the device after the tx worker finishes the
-  // host-side share; the device wait lands in resp_proc.
-  const TaxProfile& profile = system_->tax_profiles().GetOrBaseline(fl->tax_profile);
-  const ProfileCost tx = profile.MessageCost(
-      costs, {.payload_bytes = frame.payload_bytes, .wire_bytes = frame.wire_bytes, .send = true});
-  const double tx_device_cycles = tx.device_cycles;
-  SimDuration tx_dev_time = 0;
-  if (tx_device_cycles > 0) {
-    device_cycles_ += tx_device_cycles;
-    device_cycles_counter_->Increment(tx_device_cycles);
-    tx_dev_time = profile.DeviceTime(tx_device_cycles);
-  }
-  call->cycles_.Accumulate(tx.host);
-  const SimDuration tx_time = costs.CyclesToDuration(tx.host.TaxTotal(), machine_speed_);
+  call->cycles_.Accumulate(tx_cost);
+  const SimDuration tx_time = costs.CyclesToDuration(tx_cost.TaxTotal(), machine_speed_);
 
   std::shared_ptr<ServerCall> self = call->self_;
-  tx_pool_.Submit(
-      tx_time, [this, self, fl, status = std::move(status), frame = std::move(frame), app_time,
-                tx_device_cycles, tx_dev_time](SimDuration tx_wait, SimDuration tx_service) mutable {
-        ServerReply reply;
-        reply.status = std::move(status);
-        reply.recv_queue = self->recv_queue_;
-        reply.app_time = app_time;
-        reply.send_queue = tx_wait == ServerResource::kRejected ? 0 : tx_wait;
-        reply.resp_proc = tx_service;
-        reply.server_cycles = self->cycles_;
-        reply.device_cycles = fl->rx_device_cycles + tx_device_cycles;
-        reply.response_frame = std::move(frame);
-        const int64_t wire_bytes = reply.response_frame.wire_bytes;
-        self->self_.reset();
-        if (tx_dev_time > 0) {
-          accel_pool_.Submit(tx_dev_time,
-                             [this, fl, reply = std::move(reply), wire_bytes](
-                                 SimDuration dev_wait, SimDuration dev_service) mutable {
-                               reply.resp_proc += dev_wait + dev_service;
-                               RespondInflight(fl, std::move(reply), wire_bytes);
-                             });
-          return;
-        }
-        RespondInflight(fl, std::move(reply), wire_bytes);
-      });
+  tx_pool_.Submit(tx_time, [this, self, fl, reply = std::move(reply)](
+                               SimDuration tx_wait, SimDuration tx_service) mutable {
+    reply.recv_queue = self->recv_queue_;
+    reply.send_queue = tx_wait == ServerResource::kRejected ? 0 : tx_wait;
+    reply.resp_proc = tx_service;
+    reply.server_cycles = self->cycles_;
+    // 0 on the colocated path, which never reaches the fabric.
+    const int64_t wire_bytes = reply.response_frame.wire_bytes;
+    self->self_.reset();
+    RespondInflight(fl, std::move(reply), wire_bytes);
+  });
 }
 
 Status Server::CheckpointTo(CheckpointWriter& w) const {
@@ -454,7 +373,6 @@ Status Server::CheckpointTo(CheckpointWriter& w) const {
   w.WriteU64(requests_served_);
   w.WriteU64(requests_shed_);
   w.WriteU64(crash_killed_calls_);
-  w.WriteDouble(device_cycles_);
   w.WriteDouble(app_time_ewma_ns_);
   w.EndSection();
   if (Status s = rx_pool_.CheckpointTo(w); !s.ok()) {
@@ -463,10 +381,7 @@ Status Server::CheckpointTo(CheckpointWriter& w) const {
   if (Status s = app_pool_.CheckpointTo(w); !s.ok()) {
     return s;
   }
-  if (Status s = tx_pool_.CheckpointTo(w); !s.ok()) {
-    return s;
-  }
-  return accel_pool_.CheckpointTo(w);
+  return tx_pool_.CheckpointTo(w);
 }
 
 Status Server::RestoreFrom(CheckpointReader& r) {
@@ -490,7 +405,6 @@ Status Server::RestoreFrom(CheckpointReader& r) {
   const uint64_t requests_served = r.ReadU64();
   const uint64_t requests_shed = r.ReadU64();
   const uint64_t crash_killed_calls = r.ReadU64();
-  const double device_cycles = r.ReadDouble();
   const double app_time_ewma_ns = r.ReadDouble();
   if (Status s = r.LeaveSection(); !s.ok()) {
     return s;
@@ -511,7 +425,6 @@ Status Server::RestoreFrom(CheckpointReader& r) {
   requests_served_ = requests_served;
   requests_shed_ = requests_shed;
   crash_killed_calls_ = crash_killed_calls;
-  device_cycles_ = device_cycles;
   app_time_ewma_ns_ = app_time_ewma_ns;
   if (Status s = rx_pool_.RestoreFrom(r); !s.ok()) {
     return s;
@@ -519,10 +432,7 @@ Status Server::RestoreFrom(CheckpointReader& r) {
   if (Status s = app_pool_.RestoreFrom(r); !s.ok()) {
     return s;
   }
-  if (Status s = tx_pool_.RestoreFrom(r); !s.ok()) {
-    return s;
-  }
-  return accel_pool_.RestoreFrom(r);
+  return tx_pool_.RestoreFrom(r);
 }
 
 }  // namespace rpcscope

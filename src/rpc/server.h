@@ -14,6 +14,10 @@
 // the connection-reset a real client observes — so callers fail fast instead
 // of hanging. Admission control (ServerOptions::shed_on_deadline) sheds
 // requests whose remaining deadline cannot cover the expected app-queue wait.
+//
+// Every frame the server decodes or encodes is priced under the baseline tax
+// profile, the calibrated host pipeline (docs/TAX.md). Offload profiles act
+// only in the offline what-if (AnalyzeOffloadWhatIf).
 #ifndef RPCSCOPE_SRC_RPC_SERVER_H_
 #define RPCSCOPE_SRC_RPC_SERVER_H_
 
@@ -60,7 +64,8 @@ class ServerCall {
   // The application worker remains held throughout.
   void Compute(SimDuration duration, std::function<void()> then);
 
-  // Completes the call. Consumes the context's one completion.
+  // Completes the call. Consumes the context's one completion; a second
+  // Finish() is a handler bug and fails a CHECK in every build type.
   void Finish(Status status, Payload response);
 
  private:
@@ -95,9 +100,6 @@ using RequestPriorityFn = std::function<int(const IncomingRequest&)>;
 struct ServerOptions {
   int app_workers = 8;
   int io_workers = 2;
-  // Engines on this machine's offload accelerator (docs/TAX.md). Only used
-  // by requests whose resolved tax profile offloads stages; inert otherwise.
-  int accel_workers = 2;
   RequestPriorityFn request_priority;  // Null => single FIFO class.
   size_t max_app_queue_depth = 0;  // 0 = unbounded.
   size_t max_io_queue_depth = 0;
@@ -157,9 +159,6 @@ class Server {
   uint64_t requests_served() const { return requests_served_; }
   uint64_t requests_shed() const { return requests_shed_; }
   uint64_t crash_killed_calls() const { return crash_killed_calls_; }
-  // Cycles this server ran on its offload accelerator (docs/TAX.md); 0
-  // unless requests resolved an offloading tax profile.
-  double device_cycles() const { return device_cycles_; }
 
   // Checkpoint support (docs/ROBUSTNESS.md#checkpointrestore). Valid only at
   // a quiescent barrier: no request may be in flight, so the pipeline pools
@@ -199,10 +198,6 @@ class Server {
   ServerResource rx_pool_;
   ServerResource app_pool_;
   ServerResource tx_pool_;
-  // Offload-device queue (docs/TAX.md#device-queueing): requests and replies
-  // whose resolved profile moves stage cycles to a device occupy an engine
-  // for transfer + device-clock execution. Idle unless a profile offloads.
-  ServerResource accel_pool_;
   // Reused across every frame this server encodes/decodes; see WireScratch.
   WireScratch scratch_;  // NOLINT(detan-checkpoint-field) contentless scratch
   std::unordered_map<MethodId, MethodHandler> handlers_;
@@ -215,14 +210,12 @@ class Server {
   uint64_t requests_served_ = 0;
   uint64_t requests_shed_ = 0;
   uint64_t crash_killed_calls_ = 0;
-  double device_cycles_ = 0;
   // EWMA of observed handler time, feeding the admission estimate.
   double app_time_ewma_ns_ = 0;
   // Cached registry counters (stable addresses; see RpcSystem::metrics()).
   // Restored through MetricRegistry::Restore, not here.
   Counter* shed_counter_;          // NOLINT(detan-checkpoint-field) structural
   Counter* crash_killed_counter_;  // NOLINT(detan-checkpoint-field) structural
-  Counter* device_cycles_counter_;  // NOLINT(detan-checkpoint-field) structural
 };
 
 }  // namespace rpcscope

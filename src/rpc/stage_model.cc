@@ -26,11 +26,10 @@ std::vector<TaxProfile> BuiltinProfiles() {
   // id 1: PCIe-attached RPC accelerator. The data-touching stages
   // (serialization, compression, encryption, checksum) collapse to a
   // descriptor/DMA cost on the host; their cycles run on a 5 GHz device
-  // engine behind the endpoint's accelerator queue. Netstack and RPC-library
-  // bookkeeping stay on the host.
+  // engine. Netstack and RPC-library bookkeeping stay on the host.
   TaxProfile& rpcacc = profiles.emplace_back(HostProfile(
       kProfileRpcAcc,
-      "PCIe RPC accelerator: data-touching stages -> transfer cost + device queue",
+      "PCIe RPC accelerator: data-touching stages -> transfer cost + device time",
       "RPCAcc, arXiv 2411.07632"));
   for (const CycleCategory stage : {CycleCategory::kSerialization, CycleCategory::kCompression,
                                     CycleCategory::kEncryption, CycleCategory::kChecksum}) {
@@ -126,23 +125,6 @@ SimDuration TaxProfile::DeviceTime(double device_cycles) const {
 }
 
 const TaxProfile& BaselineProfile() { return BuiltinProfileCatalog().at(0); }
-
-const TaxProfile* ProfileCatalog::Get(int32_t id) const {
-  if (id < 0 || static_cast<size_t>(id) >= profiles_.size()) {
-    return nullptr;
-  }
-  return &profiles_[static_cast<size_t>(id)];
-}
-
-const TaxProfile& ProfileCatalog::GetOrBaseline(int32_t id) const {
-  const TaxProfile* profile = Get(id);
-  return profile != nullptr ? *profile : profiles_.front();
-}
-
-const TaxProfile* ProfileCatalog::Find(std::string_view name) const {
-  const int32_t id = IdOf(name);
-  return id < 0 ? nullptr : Get(id);
-}
 
 int32_t ProfileCatalog::IdOf(std::string_view name) const {
   for (size_t i = 0; i < profiles_.size(); ++i) {

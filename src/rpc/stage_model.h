@@ -6,15 +6,16 @@
 // NotNets (arXiv 2404.06581) ask what the fleet looks like when stages of
 // that tax are offloaded to hardware or bypassed entirely. This module makes
 // the question expressible: a TaxProfile holds one StageRule per tax
-// category, saying how that stage's CycleCostModel terms are charged, and a
-// ProfileCatalog names the profiles so the policy plane can assign them per
-// service/method (MethodPolicy::tax_profile) and the analysis tooling can
-// sweep them (examples/offload_whatif, rpcscope_analyze --analysis=offload).
+// category, saying how that stage's CycleCostModel terms are charged, and
+// the ProfileCatalog lists the built-in profiles for the offline what-if to
+// sweep (AnalyzeOffloadWhatIf: examples/offload_whatif, rpcscope_analyze
+// --analysis=offload).
 //
 // There is one pricing path: every message side — DES client and server,
 // FleetSampler, the colocated avoided-tax estimate, the offload what-if —
 // goes through TaxProfile::MessageCost. The `baseline` profile (every stage
-// on the host rule) *is* the calibrated host pipeline. Rules are pure
+// on the host rule) *is* the calibrated host pipeline, and it is the only
+// profile the DES runs; the others act only in the what-if. Rules are pure
 // functions of their inputs (docs/TAX.md#determinism).
 #ifndef RPCSCOPE_SRC_RPC_STAGE_MODEL_H_
 #define RPCSCOPE_SRC_RPC_STAGE_MODEL_H_
@@ -41,8 +42,7 @@ struct StageCostInput {
   bool send = true;  // Send side (serialize/compress) vs receive side.
   // Caller and callee share a locality domain. Only the colocated-bypass
   // rule reads it, and only AnalyzeOffloadWhatIf sets it (from
-  // Span::colocated): the DES serves colocated calls on its own fast path
-  // before any profile is consulted.
+  // Span::colocated): the DES serves colocated calls on its own fast path.
   bool colocated = false;
 };
 
@@ -80,9 +80,8 @@ struct StageRule {
 
 // The offload device behind kDevice stages: its clock converts offloaded
 // cycles to occupancy time, and every message that touches it pays a fixed
-// transfer latency (PCIe DMA round trip). The device *queue* is not modeled
-// here — endpoints own a ServerResource accelerator pool, so queueing delay
-// emerges from load exactly like every other pool in the stack.
+// transfer latency (PCIe DMA round trip). No device queue is modeled: the
+// what-if adds DeviceTime to each sampled RPC's latency.
 struct DeviceModel {
   double cycles_per_second = 5.0e9;
   SimDuration transfer_latency = Micros(1);
@@ -106,8 +105,8 @@ struct TaxProfile {
 };
 
 // The calibrated host pipeline: every stage on the host rule. It is
-// BuiltinProfileCatalog().at(0), and prices the messages no policy reaches
-// (FleetSampler, the colocated fast path's avoided-tax estimate).
+// BuiltinProfileCatalog().at(0), and prices every message the DES encodes,
+// FleetSampler's samples and the colocated fast path's avoided-tax estimate.
 const TaxProfile& BaselineProfile();
 
 // Built-in profile names, in id order.
@@ -117,17 +116,11 @@ inline constexpr std::string_view kProfileKernelBypass = "kernel_bypass";
 inline constexpr std::string_view kProfileNicCrypto = "nic_crypto";
 inline constexpr std::string_view kProfileNotnetsColocated = "notnets_colocated";
 
-// The built-in profiles, in a fixed order. A profile's id is its index —
-// the value MethodPolicy::tax_profile carries — so ids are the same in every
-// catalog and on every shard. Id 0 is `baseline`.
+// The built-in profiles, in a fixed order. A profile's id is its index, and
+// the what-if reports one outcome per id in the same order. Id 0 is
+// `baseline`.
 class ProfileCatalog {
  public:
-  // nullptr for ids outside [0, size()).
-  const TaxProfile* Get(int32_t id) const;
-  // The profile a message is priced under: `id`'s profile, or `baseline`
-  // for the inherit sentinel (-1) and unknown ids.
-  const TaxProfile& GetOrBaseline(int32_t id) const;
-  const TaxProfile* Find(std::string_view name) const;
   int32_t IdOf(std::string_view name) const;  // -1 when absent.
 
   size_t size() const { return profiles_.size(); }
@@ -144,15 +137,14 @@ class ProfileCatalog {
 //   baseline           — host pipeline as calibrated; id 0.
 //   rpcacc             — PCIe-attached RPC accelerator (arXiv 2411.07632):
 //                        data-touching stages collapse to a descriptor/DMA
-//                        transfer cost plus device-queue occupancy.
+//                        transfer cost plus device time.
 //   kernel_bypass      — DPDK-class userspace netstack: fixed and per-packet
 //                        terms slashed, zero-copy per-byte cost.
 //   nic_crypto         — inline NIC crypto/CRC engines: encryption and
 //                        checksum per-byte cost ≈ 0, driver setup remains.
 //   notnets_colocated  — network bypass for colocated callers
 //                        (arXiv 2404.06581): colocated messages pay only RPC
-//                        library bookkeeping. The DES never prices a message
-//                        as colocated, so there it prices like baseline.
+//                        library bookkeeping.
 // One immutable catalog per process, built on first use.
 const ProfileCatalog& BuiltinProfileCatalog();
 

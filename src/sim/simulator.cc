@@ -8,14 +8,6 @@
 
 namespace rpcscope {
 
-namespace {
-
-// The "sim" section's queue-kind byte, kept so the checkpoint format is
-// unchanged: 0 named the ladder, the only queue the simulator runs.
-constexpr uint8_t kQueueKindByte = 0;
-
-}  // namespace
-
 void Simulator::Schedule(SimDuration delay, Callback fn) {
   RPCSCOPE_DCHECK_GE(delay, 0) << "negative delay; release builds clamp to zero";
   if (delay < 0) {
@@ -84,7 +76,6 @@ Status Simulator::CheckpointTo(CheckpointWriter& w) const {
         "barriers (events hold closures and cannot be persisted)");
   }
   w.BeginSection("sim");
-  w.WriteU8(kQueueKindByte);
   w.WriteI64(now_);
   w.WriteU64(next_seq_);
   w.WriteU64(events_executed_);
@@ -103,7 +94,6 @@ Status Simulator::RestoreFrom(CheckpointReader& r) {
   if (Status s = r.EnterSection("sim"); !s.ok()) {
     return s;
   }
-  const uint8_t queue_kind = r.ReadU8();
   const SimTime now = r.ReadI64();
   const uint64_t next_seq = r.ReadU64();
   const uint64_t events_executed = r.ReadU64();
@@ -113,10 +103,6 @@ Status Simulator::RestoreFrom(CheckpointReader& r) {
   const bool any_executed = r.ReadBool();
   if (Status s = r.LeaveSection(); !s.ok()) {
     return s;
-  }
-  if (queue_kind != kQueueKindByte) {
-    return FailedPreconditionError(
-        "checkpoint was taken with a different simulator queue kind");
   }
   if (now < 0 || next_seq < events_executed) {
     return DataLossError("simulator checkpoint state is inconsistent");

@@ -163,11 +163,20 @@ TEST(CheckpointFraming, FlippedByteFailsCrc) {
 
 TEST(CheckpointFraming, UnknownFormatVersionRejected) {
   const CheckpointWriter w = SampleWriter();
-  std::vector<uint8_t> bumped = w.buffer();
-  // Header layout: u32 magic, u32 version (little-endian).
-  bumped[4] = static_cast<uint8_t>(kCheckpointFormatVersion + 1);
-  Result<CheckpointReader> reader = CheckpointReader::FromBytes(std::move(bumped));
-  EXPECT_FALSE(reader.ok());
+  // Header layout: u32 magic, u32 version (little-endian). A file of the
+  // previous layout is refused at its header like one of the next, before
+  // any section is read.
+  for (const uint32_t version : {kCheckpointFormatVersion - 1, kCheckpointFormatVersion + 1}) {
+    std::vector<uint8_t> other = w.buffer();
+    other[4] = static_cast<uint8_t>(version);
+    Result<CheckpointReader> reader = CheckpointReader::FromBytes(std::move(other));
+    ASSERT_FALSE(reader.ok()) << "version " << version;
+    EXPECT_EQ(reader.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(reader.status().message().find("unsupported checkpoint format version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << reader.status().ToString();
+  }
 
   std::vector<uint8_t> wrong_magic = w.buffer();
   wrong_magic[0] ^= 0xff;

@@ -68,9 +68,9 @@ TEST(LogHistogramTest, MergeCombinesMass) {
 
 TEST(LogHistogramDeathTest, MergeRejectsMismatchedBucketLayouts) {
   // Merging histograms with different bucket layouts would silently
-  // misattribute counts to the wrong value ranges; the sharded-metrics merge
-  // (RpcSystem::MergedDistribution) relies on this being a loud CHECK in
-  // every build type.
+  // misattribute counts to the wrong value ranges; the hub's cross-shard
+  // window merge (MetricWindowDelta::Merge) relies on this being a loud CHECK
+  // in every build type.
   LogHistogram base(LogHistogram::Options{.min_value = 10, .max_value = 1000});
   base.Add(100);
 

@@ -149,5 +149,21 @@ TEST_F(ServiceStudyTest, AllEightConfigsRunAndCategorize) {
   }
 }
 
+// A run's clusters and client count are caller input. Out of range they
+// would put servers past the topology or clients in the next cluster, so the
+// run refuses them in every build type.
+TEST(ServiceStudyDeathTest, RefusesPlacementOutsideItsCluster) {
+  const ServiceCatalog catalog = ServiceCatalog::BuildDefault();
+  ServiceStudyConfig config = MakeStudyConfig(catalog, catalog.studied().bigtable);
+  config.duration = Millis(20);
+  config.warmup = 0;
+  ServiceStudyRun past_topology;
+  past_topology.server_cluster = Topology(TopologyOptions{}).num_clusters();
+  EXPECT_DEATH((void)RunServiceStudy(config, past_topology), "server cluster [0-9]+ of [0-9]+");
+  // Clients fill the upper half of the cluster's machines: 32 at the defaults.
+  config.num_clients = 33;
+  EXPECT_DEATH((void)RunServiceStudy(config, {}), "machine 64 of 64 per cluster");
+}
+
 }  // namespace
 }  // namespace rpcscope

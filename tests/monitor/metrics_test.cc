@@ -26,28 +26,6 @@ TEST(MetricRegistryTest, SameNameReturnsSameInstrument) {
   EXPECT_EQ(registry.GetCounter("x").value(), 3);
 }
 
-TEST(MetricRegistryTest, GaugeSamplesCurrentValue) {
-  MetricRegistry registry;
-  registry.GetGauge("util").Set(0.75);
-  registry.SampleAll(0);
-  registry.GetGauge("util").Set(0.25);
-  registry.SampleAll(Minutes(30));
-  const TimeSeries* ts = registry.Series("util");
-  ASSERT_EQ(ts->points().size(), 2u);
-  EXPECT_EQ(ts->points()[0].value, 0.75);
-  EXPECT_EQ(ts->points()[1].value, 0.25);
-}
-
-TEST(MetricRegistryTest, DistributionRecordsHistogram) {
-  MetricRegistry registry;
-  DistributionMetric& d = registry.GetDistribution("latency");
-  for (int i = 0; i < 100; ++i) {
-    d.Record(1000.0 * (i + 1));
-  }
-  EXPECT_EQ(d.histogram().count(), 100);
-  EXPECT_GT(d.histogram().Quantile(0.9), d.histogram().Quantile(0.1));
-}
-
 TEST(TimeSeriesTest, RetentionExpiresOldPoints) {
   MetricRegistry::Options opts;
   opts.retention = Days(2);

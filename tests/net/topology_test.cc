@@ -21,6 +21,16 @@ TEST(TopologyTest, CountsMatchOptions) {
   EXPECT_EQ(t.num_machines(), t.num_clusters() * 4);
 }
 
+// An index past either bound would name a machine of another cluster, or one
+// past the topology; MachineAt refuses it in every build type.
+TEST(TopologyDeathTest, MachineAtRejectsOutOfRangeIndices) {
+  Topology t(SmallTopology());
+  EXPECT_DEATH((void)t.MachineAt(t.num_clusters(), 0), "cluster 16 of 16");
+  EXPECT_DEATH((void)t.MachineAt(-1, 0), "cluster -1 of 16");
+  EXPECT_DEATH((void)t.MachineAt(0, 4), "machine 4 of 4 per cluster");
+  EXPECT_DEATH((void)t.MachineAt(0, -1), "machine -1 of 4 per cluster");
+}
+
 TEST(TopologyTest, MachineMappingRoundTrips) {
   Topology t(SmallTopology());
   for (ClusterId c = 0; c < t.num_clusters(); ++c) {

@@ -28,34 +28,6 @@ TEST(MethodPolicyTest, MergeFromOverlaysOnlySetFields) {
   EXPECT_EQ(base.hedge_delay, Micros(500));  // Inherit sentinel didn't clobber.
 }
 
-TEST(MethodPolicyTest, TaxProfileIsTriStateLikeEveryOtherKnob) {
-  MethodPolicy p;
-  EXPECT_TRUE(p.IsInherit());
-  EXPECT_EQ(p.tax_profile, -1);  // -1 = inherit = no profile resolved.
-  p.tax_profile = 0;             // Pinning `baseline` (id 0) is a real setting.
-  EXPECT_FALSE(p.IsInherit());
-
-  MethodPolicy base;
-  base.tax_profile = 2;
-  MethodPolicy inherit_only;
-  base.MergeFrom(inherit_only);
-  EXPECT_EQ(base.tax_profile, 2);  // Inherit sentinel didn't clobber.
-  MethodPolicy over;
-  over.tax_profile = 1;
-  base.MergeFrom(over);
-  EXPECT_EQ(base.tax_profile, 1);
-}
-
-TEST(PolicySnapshotTest, TaxProfileChangesContentHash) {
-  // The timeline's config hash guards checkpoint restore: a rollout that only
-  // swaps the stage-cost profile must still invalidate stale snapshots.
-  PolicySnapshot a;
-  PolicySnapshot b;
-  EXPECT_EQ(a.ContentHash(0xfeed), b.ContentHash(0xfeed));
-  b.defaults.tax_profile = 1;
-  EXPECT_NE(a.ContentHash(0xfeed), b.ContentHash(0xfeed));
-}
-
 TEST(PolicySnapshotTest, ResolvePrecedenceNarrowestWins) {
   PolicySnapshot snap;
   snap.defaults.max_retries = 1;

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/rpc/client.h"
 #include "src/rpc/server.h"
+#include "src/rpc/stage_model.h"
 
 namespace rpcscope {
 namespace {
@@ -100,12 +102,41 @@ TEST_F(EndToEndTest, CyclesAccountedOnBothSides) {
   client_->Call(server_machine_, kEcho, Payload::Modeled(4096), {},
                 [&](const CallResult& result, Payload) { got = result; });
   system_.sim().Run();
+  ASSERT_TRUE(got.status.ok());
   EXPECT_GT(got.cycles[CycleCategory::kSerialization], 0);
   EXPECT_GT(got.cycles[CycleCategory::kCompression], 0);
   EXPECT_GT(got.cycles[CycleCategory::kNetworking], 0);
   EXPECT_GT(got.cycles[CycleCategory::kRpcLibrary], 0);
   EXPECT_GT(got.cycles[CycleCategory::kApplication], 0);
   EXPECT_GT(got.cycles.Total(), got.cycles.TaxTotal());
+
+  // The DES has one pricing path: each of the four message sides is the
+  // baseline profile's MessageCost. Every tax category of the call equals
+  // the four sides summed in the order the endpoints add them: client send,
+  // then the server's receive plus send, then client receive.
+  ASSERT_EQ(system_.tracer().spans().size(), 1u);
+  const Span& span = system_.tracer().spans().front();
+  EXPECT_EQ(span.request_wire_bytes, got.request_wire_bytes);
+  EXPECT_EQ(span.response_wire_bytes, got.response_wire_bytes);
+  const CycleCostModel& costs = system_.costs();
+  auto side = [&](int64_t payload_bytes, int64_t wire_bytes, bool send) {
+    const StageCostInput in{.payload_bytes = payload_bytes, .wire_bytes = wire_bytes, .send = send};
+    return BaselineProfile().MessageCost(costs, in).host;
+  };
+  const CycleBreakdown client_send =
+      side(span.request_payload_bytes, span.request_wire_bytes, true);
+  const CycleBreakdown server_recv =
+      side(span.request_payload_bytes, span.request_wire_bytes, false);
+  const CycleBreakdown server_send =
+      side(span.response_payload_bytes, span.response_wire_bytes, true);
+  const CycleBreakdown client_recv =
+      side(span.response_payload_bytes, span.response_wire_bytes, false);
+  for (int i = 0; i < kNumTaxCategories; ++i) {
+    const auto cat = static_cast<CycleCategory>(i);
+    EXPECT_EQ(got.cycles[cat],
+              client_send[cat] + (server_recv[cat] + server_send[cat]) + client_recv[cat])
+        << CycleCategoryName(cat);
+  }
 }
 
 TEST_F(EndToEndTest, ServerErrorPropagates) {
@@ -277,6 +308,39 @@ TEST_F(EndToEndTest, NestedCallFromHandler) {
   }
   EXPECT_GT(child_total, 0);
   EXPECT_GE(got.latency[RpcComponent::kServerApp], child_total);
+}
+
+// A handler that finishes its call twice would release its app worker twice:
+// the pool would then admit one handler more than it has workers, and
+// requests_served() would count the call twice. A second call stays inside
+// its handler throughout, so the double release cannot trip the pool's own
+// busy-worker check; the server's check must catch the second Finish.
+TEST(ServerDeathTest, FinishingACallTwiceFails) {
+  constexpr MethodId kHold = 10;
+  constexpr MethodId kTwice = 11;
+  auto run = [] {
+    RpcSystemOptions options;
+    options.fabric.congestion_probability = 0;
+    RpcSystem system(options);
+    const MachineId server_machine = system.topology().MachineAt(0, 0);
+    Server server(&system, server_machine, ServerOptions{});
+    Client client(&system, system.topology().MachineAt(0, 1));
+    std::vector<std::shared_ptr<ServerCall>> held;
+    server.RegisterMethod(kHold, "Hold", [&](std::shared_ptr<ServerCall> call) {
+      held.push_back(std::move(call));
+      // Issued only once this call holds its worker.
+      client.Call(server_machine, kTwice, Payload::Modeled(64), {},
+                  [](const CallResult&, Payload) {});
+    });
+    server.RegisterMethod(kTwice, "Twice", [](std::shared_ptr<ServerCall> call) {
+      call->Finish(Status::Ok(), Payload::Modeled(64));
+      call->Finish(Status::Ok(), Payload::Modeled(64));
+    });
+    client.Call(server_machine, kHold, Payload::Modeled(64), {},
+                [](const CallResult&, Payload) {});
+    system.sim().Run();
+  };
+  EXPECT_DEATH(run(), "finished its call twice");
 }
 
 }  // namespace

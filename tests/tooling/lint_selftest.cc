@@ -112,6 +112,21 @@ TEST(LintSelfTest, CoutRuleDoesNotApplyOutsideSrc) {
   EXPECT_TRUE(findings.empty());
 }
 
+TEST(LintSelfTest, RawAssertRule) {
+  const auto findings =
+      LintFile("src/common/raw_assert.cc", ReadFixture("raw_assert.cc"), {});
+  EXPECT_EQ(Summarize(findings), (std::vector<std::pair<int, std::string>>{
+                                     {10, "rpcscope-raw-assert"},
+                                     {11, "rpcscope-raw-assert"},
+                                 }));
+}
+
+TEST(LintSelfTest, RawAssertRuleDoesNotApplyOutsideSrc) {
+  // Tests, tools and benches may assert freely.
+  const auto findings = LintFile("tools/raw_assert.cc", ReadFixture("raw_assert.cc"), {});
+  EXPECT_TRUE(findings.empty());
+}
+
 TEST(LintSelfTest, SerializeHotpathRule) {
   const auto findings =
       LintFile("src/rpc/serialize_hotpath.cc", ReadFixture("serialize_hotpath.cc"), {});

@@ -36,9 +36,10 @@ constexpr char kUnusedNolint[] = "detan-unused-nolint";
 // observable in the final bits.
 const std::vector<std::string>& DigestEntries() {
   static const std::vector<std::string> entries = {
-      "AggregateDigest", "ExemplarDigest",  "FlushInto",          "FlushObservability",
-      "MergedSpans",     "MergedCounter",   "MergedDistribution", "ShardedEventDigest",
-      "SerializeSpans",  "ReplayIntoHub",   "Merge",
+      "AggregateDigest",    "ExemplarDigest", "FlushInto",
+      "FlushObservability", "MergedSpans",    "MergedCounter",
+      "ShardedEventDigest", "SerializeSpans", "ReplayIntoHub",
+      "Merge",
   };
   return entries;
 }

@@ -81,6 +81,8 @@ std::vector<analysis::RuleDoc> Rules() {
        "timing"},
       {"rpcscope-include-guard", "headers must carry the canonical RPCSCOPE_<PATH>_H_ guard"},
       {"rpcscope-cout", "std::cout / printf in library code (src/)"},
+      {"rpcscope-raw-assert",
+       "assert() in library code (src/); use RPCSCOPE_CHECK or RPCSCOPE_DCHECK"},
       {"rpcscope-serialize-hotpath",
        "allocating Message::Serialize() on the wire path; use SerializeTo()"},
       {kUnusedNolint,
@@ -303,6 +305,19 @@ std::vector<Finding> LintFile(const std::string& rel_path, const std::string& co
                   " in library code; report via Status or take an std::ostream&");
           break;
         }
+      }
+    }
+  }
+
+  // --- rpcscope-raw-assert --------------------------------------------------
+  if (in_src) {
+    // \b keeps static_assert (a compile-time check) and <cassert> out.
+    static const std::regex kAssert(R"(\bassert\s*\()");
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (std::regex_search(lines[i], kAssert)) {
+        add(i, "rpcscope-raw-assert",
+            "assert() compiles away under NDEBUG, which Release builds define; use "
+            "RPCSCOPE_CHECK (always on) or RPCSCOPE_DCHECK (hot paths)");
       }
     }
   }

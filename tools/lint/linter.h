@@ -17,6 +17,9 @@
 //   rpcscope-cout              std::cout / printf in library code (src/);
 //                              libraries report through Status and ostream&
 //                              parameters, never the process's stdout.
+//   rpcscope-raw-assert        assert() in library code (src/): it compiles
+//                              away under NDEBUG, which Release builds
+//                              define. static_assert is exempt.
 //   rpcscope-serialize-hotpath calls to the vector-returning
 //                              Message::Serialize() in src/ — library code
 //                              sits on the per-RPC wire path and must use

@@ -24,6 +24,10 @@
 # compare across the rename. The per-figure branch can go once no base
 # revision predates the driver.
 #
+# On a difference it prints one line per differing output (a file, or a
+# checkpoint directory with its count of differing files), then the first 60
+# lines of `diff -r`.
+#
 # Usage: tools/run_digest_parity.sh <base-rev>
 # Both builds and all outputs go in a temporary directory under TMPDIR
 # (default /tmp), removed on exit.
@@ -113,6 +117,22 @@ run_outputs() {
   cd - >/dev/null
 }
 
+# Prints one line per top-level output that differs between the two runs:
+# a file, or a directory with the number of files under it that differ.
+list_differing_outputs() {
+  { diff -rq "$WORK/out-base" "$WORK/out-head" || true; } |
+    sed -E -e "s#^Files $WORK/out-base/(.*) and $WORK/out-head/.* differ\$#\1#" \
+      -e "s#^Only in $WORK/out-[a-z]+/?(.*): (.*)\$#\1/\2#" -e 's#^/##' |
+    awk -F/ '{ n[$1]++ } END { for (top in n) print top, n[top] }' | sort |
+    while read -r top count; do
+      if [[ -d "$WORK/out-base/$top" || -d "$WORK/out-head/$top" ]]; then
+        echo "  $top/ (differing files: $count)"
+      else
+        echo "  $top"
+      fi
+    done
+}
+
 # Prints "event_digest streamed_digest" from a fleet_study run's output.
 digests() {
   awk -F= '/^event_digest=/ {e=$2} /^streamed_digest=/ {s=$2} END {print e, s}' "$1"
@@ -134,6 +154,8 @@ if diff -r "$WORK/out-base" "$WORK/out-head" >"$WORK/diff.txt"; then
   echo "PASS: every output identical to ${BASE_SHA:0:12}"
   exit 0
 fi
+echo "outputs that differ:"
+list_differing_outputs
 head -n 60 "$WORK/diff.txt"
-echo "FAIL: outputs differ from ${BASE_SHA:0:12} (first 60 diff lines above)" >&2
+echo "FAIL: outputs differ from ${BASE_SHA:0:12} (list and first 60 diff lines above)" >&2
 exit 1
