@@ -239,7 +239,7 @@ int RunPolicyRollout(const char* spec, int argc, char** argv) {
   // service only. The rest of the fleet keeps the initial policy.
   MiniFleetOptions canary_run = options;
   PolicySnapshot canary_stage;
-  canary_stage.SetOverride(canary_svc, -1, bad);
+  canary_stage.SetOverride(canary_svc, bad);
   canary_run.policy.AddStage(canary_at, canary_stage);
   const MiniFleetResult canaried = RunMiniFleet(services, canary_run);
   const ScopeStats canary_before = StatsFor(canaried.spans, 0, canary_at, canary_svc, false);

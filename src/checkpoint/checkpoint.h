@@ -36,7 +36,11 @@ inline constexpr uint32_t kCheckpointMagic = 0x54504b43;  // "CKPT" little-endia
 // fields that only ever held one value (the "sim" queue-kind byte, the
 // "shard" has-sink and "rpc_system" has-hub flags), and two constant words
 // from the mini-fleet's config hash.
-inline constexpr uint32_t kCheckpointFormatVersion = 3;
+// v4: dropped the client section's policy-version word (the client resolves
+// the policy snapshot on every call, so it tracks no version), and the policy
+// timeline's content hash covers four MethodPolicy fields with
+// service-keyed overrides.
+inline constexpr uint32_t kCheckpointFormatVersion = 4;
 
 // Serializes state into an in-memory, section-framed buffer and commits it to
 // disk atomically. All scalars are little-endian fixed width; doubles are

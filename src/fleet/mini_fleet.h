@@ -70,10 +70,11 @@ struct MiniFleetOptions {
   // constructor, which clears its own copy of it. The injector's copy of the
   // plan is folded into the checkpoint config hash.
   const FaultPlan* fault_plan = nullptr;
-  // Managed policy plane (docs/POLICY.md): the authored snapshot timeline,
-  // forwarded to RpcSystemOptions. Stages apply at conservative-round
-  // barriers; an empty timeline reproduces the pre-policy fleet bit-for-bit.
-  // Timeline content is folded into the checkpoint config hash.
+  // Managed policy plane (docs/POLICY.md): the authored timeline of client
+  // retry knobs (fleet defaults, per-service overrides), forwarded to
+  // RpcSystemOptions. Stages apply at conservative-round barriers; an empty
+  // timeline reproduces the pre-policy fleet bit-for-bit. Timeline content
+  // is folded into the checkpoint config hash.
   PolicyTimeline policy;
   // Colocated zero-copy fast path demo wiring: place each frontend on its
   // target deployment's first machine and enable ClientOptions::

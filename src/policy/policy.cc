@@ -1,5 +1,7 @@
 #include "src/policy/policy.h"
 
+#include <utility>
+
 #include "src/checkpoint/checkpoint.h"
 #include "src/common/digest.h"
 
@@ -14,58 +16,32 @@ const PolicySnapshot& EmptySnapshot() {
 }  // namespace
 
 bool MethodPolicy::IsInherit() const {
-  return pick_policy < 0 && subset_size < 0 && default_deadline < 0 && max_retries < 0 &&
-         hedge_delay < 0 && outlier_enabled < 0 && retry_backoff < 0 && retry_backoff_cap < 0 &&
-         attempt_timeout < 0 && retry_budget_max_tokens < 0 && retry_budget_refill < 0 &&
-         colocated_bypass < 0 && shed_on_deadline < 0;
+  return max_retries < 0 && retry_backoff < 0 && retry_backoff_cap < 0 && attempt_timeout < 0;
 }
 
 void MethodPolicy::MergeFrom(const MethodPolicy& over) {
-  if (over.pick_policy >= 0) pick_policy = over.pick_policy;
-  if (over.subset_size >= 0) subset_size = over.subset_size;
-  if (over.default_deadline >= 0) default_deadline = over.default_deadline;
   if (over.max_retries >= 0) max_retries = over.max_retries;
-  if (over.hedge_delay >= 0) hedge_delay = over.hedge_delay;
-  if (over.outlier_enabled >= 0) outlier_enabled = over.outlier_enabled;
   if (over.retry_backoff >= 0) retry_backoff = over.retry_backoff;
   if (over.retry_backoff_cap >= 0) retry_backoff_cap = over.retry_backoff_cap;
   if (over.attempt_timeout >= 0) attempt_timeout = over.attempt_timeout;
-  if (over.retry_budget_max_tokens >= 0) retry_budget_max_tokens = over.retry_budget_max_tokens;
-  if (over.retry_budget_refill >= 0) retry_budget_refill = over.retry_budget_refill;
-  if (over.colocated_bypass >= 0) colocated_bypass = over.colocated_bypass;
-  if (over.shed_on_deadline >= 0) shed_on_deadline = over.shed_on_deadline;
 }
 
 uint64_t MethodPolicy::ContentHash(uint64_t digest) const {
-  digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(pick_policy)));
-  digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(subset_size)));
-  digest = FnvMix(digest, static_cast<uint64_t>(default_deadline));
   digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(max_retries)));
-  digest = FnvMix(digest, static_cast<uint64_t>(hedge_delay));
-  digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(outlier_enabled)));
   digest = FnvMix(digest, static_cast<uint64_t>(retry_backoff));
   digest = FnvMix(digest, static_cast<uint64_t>(retry_backoff_cap));
   digest = FnvMix(digest, static_cast<uint64_t>(attempt_timeout));
-  digest = FnvMix(digest, DoubleBits(retry_budget_max_tokens));
-  digest = FnvMix(digest, DoubleBits(retry_budget_refill));
-  digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(colocated_bypass)));
-  digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(shed_on_deadline)));
   return digest;
 }
 
-void PolicySnapshot::SetOverride(int32_t service_id, int32_t method_id,
-                                 const MethodPolicy& policy) {
-  overrides[{service_id, method_id}] = policy;
+void PolicySnapshot::SetOverride(int32_t service_id, const MethodPolicy& policy) {
+  overrides[service_id] = policy;
 }
 
-MethodPolicy PolicySnapshot::Resolve(int32_t service_id, int32_t method_id) const {
+MethodPolicy PolicySnapshot::Resolve(int32_t service_id) const {
   MethodPolicy merged = defaults;
-  auto service_wide = overrides.find({service_id, -1});
-  if (service_wide != overrides.end()) merged.MergeFrom(service_wide->second);
-  if (method_id >= 0) {
-    auto exact = overrides.find({service_id, method_id});
-    if (exact != overrides.end()) merged.MergeFrom(exact->second);
-  }
+  auto entry = overrides.find(service_id);
+  if (entry != overrides.end()) merged.MergeFrom(entry->second);
   return merged;
 }
 
@@ -74,9 +50,8 @@ uint64_t PolicySnapshot::ContentHash(uint64_t digest) const {
   digest = defaults.ContentHash(digest);
   digest = FnvMix(digest, overrides.size());
   // std::map iterates in key order, so the fold is canonical.
-  for (const auto& [key, policy] : overrides) {
-    digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(key.first)));
-    digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(key.second)));
+  for (const auto& [service_id, policy] : overrides) {
+    digest = FnvMix(digest, static_cast<uint64_t>(static_cast<int64_t>(service_id)));
     digest = policy.ContentHash(digest);
   }
   return digest;

@@ -1,28 +1,27 @@
 // PolicyEngine: versioned, hot-swappable managed RPC policy.
 //
 // "Remote Procedure Call as a Managed System Service" (arXiv 2304.07349)
-// argues that retries, load balancing, ejection, and shedding belong to a
-// fleet-operated policy plane, not to per-application library config. This
-// module is that plane for rpcscope: a PolicySnapshot is an immutable,
-// versioned bundle of resilience knobs (retries, load balancing, ejection,
-// shedding, the colocated bypass) keyed by (service, method) with
-// fleet-wide defaults; a PolicyTimeline is an authored sequence of snapshots
-// at virtual times (a staged rollout, a canary, an A/B flip); a per-shard
-// PolicyEngine walks the timeline at conservative-round barriers so every
-// shard — and every worker-thread count — observes exactly the same snapshot
-// for exactly the same events (docs/POLICY.md).
+// argues that retry policy belongs to a fleet-operated policy plane, not to
+// per-application library config. This module is that plane for rpcscope: a
+// PolicySnapshot is an immutable, versioned bundle of the client's retry
+// knobs (retry count, backoff pacing, the attempt watchdog) keyed by service
+// with fleet-wide defaults; a PolicyTimeline is an authored sequence of
+// snapshots at virtual times (a staged rollout, a canary, an A/B flip); a
+// per-shard PolicyEngine walks the timeline at conservative-round barriers so
+// every shard — and every worker-thread count — observes exactly the same
+// snapshot for exactly the same events (docs/POLICY.md). Client::Call is the
+// plane's only reader.
 //
 // Every MethodPolicy field is tri-state: the negative sentinel means
-// "inherit" — from the service-wide entry, then the fleet defaults, then the
-// consulting component's own constructor-time options. An empty snapshot
-// therefore reproduces the pre-policy stack bit-for-bit: no extra RNG draws,
-// no extra events, identical digests.
+// "inherit" — from the service entry, then the fleet defaults, then the
+// call's own CallOptions. An empty snapshot therefore reproduces the
+// pre-policy stack bit-for-bit: no extra RNG draws, no extra events,
+// identical digests.
 #ifndef RPCSCOPE_SRC_POLICY_POLICY_H_
 #define RPCSCOPE_SRC_POLICY_POLICY_H_
 
 #include <cstdint>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -33,55 +32,36 @@ namespace rpcscope {
 class CheckpointWriter;
 class CheckpointReader;
 
-// One scope's policy overrides (fleet defaults, a service, or one method).
-// Sentinels: every field < 0 inherits from the next-wider scope (and finally
-// from the consulting component's constructor options). Non-negative values
-// use the consuming option's own conventions (e.g. deadline 0 = "none",
-// subset_size 0 = "all backends").
+// One scope's policy overrides (fleet defaults or one service). Sentinels:
+// every field < 0 inherits from the next-wider scope (and finally from the
+// call's CallOptions). Non-negative values use CallOptions' own conventions
+// (attempt_timeout 0 = watchdog off).
 struct MethodPolicy {
-  // Channel-level knobs (resolved per channel for its service).
-  int32_t pick_policy = -1;           // PickPolicy enum value.
-  int32_t subset_size = -1;           // 0 = all backends.
-  SimDuration default_deadline = -1;  // 0 = no deadline.
   int32_t max_retries = -1;
-  SimDuration hedge_delay = -1;       // 0 = hedging off.
-  int32_t outlier_enabled = -1;       // 0 / 1.
-
-  // Client-level knobs (resolved per call).
   SimDuration retry_backoff = -1;
   SimDuration retry_backoff_cap = -1;
-  SimDuration attempt_timeout = -1;   // 0 = watchdog off.
-  double retry_budget_max_tokens = -1;
-  double retry_budget_refill = -1;
-  // Colocated zero-copy fast path (docs/POLICY.md#colocated-bypass): when 1,
-  // a call whose target resolves to the caller's own MachineId skips
-  // serialization and the wire and hands the payload over by shared buffer.
-  int32_t colocated_bypass = -1;      // 0 / 1.
-
-  // Server-level knob (resolved per request).
-  int32_t shed_on_deadline = -1;      // 0 / 1.
+  SimDuration attempt_timeout = -1;  // 0 = watchdog off.
 
   // True when every field is the inherit sentinel.
   bool IsInherit() const;
   // Overlays `over` onto *this: fields `over` sets (>= 0) win.
   void MergeFrom(const MethodPolicy& over);
-  // Folds every field into `digest` (FNV-1a; doubles as IEEE bit patterns).
+  // Folds every field into `digest` (FNV-1a).
   uint64_t ContentHash(uint64_t digest) const;
 };
 
-// An immutable, versioned policy bundle. Resolution precedence, narrowest
-// wins: exact (service, method) entry > service-wide entry (method == -1) >
-// fleet defaults. The ordered map keeps ContentHash and checkpoint layouts
-// canonical.
+// An immutable, versioned policy bundle. Resolution precedence: a service's
+// entry over the fleet defaults. The ordered map keeps ContentHash and
+// checkpoint layouts canonical.
 struct PolicySnapshot {
   uint64_t version = 0;
   MethodPolicy defaults;
-  // Key: (service_id, method_id); method_id == -1 covers the whole service.
-  std::map<std::pair<int32_t, int32_t>, MethodPolicy> overrides;
+  // Key: service_id.
+  std::map<int32_t, MethodPolicy> overrides;
 
-  void SetOverride(int32_t service_id, int32_t method_id, const MethodPolicy& policy);
-  // Merged view for one method: defaults, then service-wide, then exact.
-  MethodPolicy Resolve(int32_t service_id, int32_t method_id) const;
+  void SetOverride(int32_t service_id, const MethodPolicy& policy);
+  // Merged view for one service: defaults, then the service's entry.
+  MethodPolicy Resolve(int32_t service_id) const;
   uint64_t ContentHash(uint64_t digest) const;
 };
 

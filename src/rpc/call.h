@@ -117,9 +117,6 @@ struct IncomingRequest {
   // One-way wire latency the request experienced; echoed back on the reply
   // (ServerReply::request_wire) for cross-domain-safe latency accounting.
   SimDuration request_wire = 0;
-  // Service the method belongs to (-1 = unknown); lets the server resolve
-  // per-service policy (shedding) without a reverse method registry.
-  int32_t service_id = -1;
   // Colocated fast path: caller and callee share a MachineId, the request was
   // never encoded — local_payload is the request handed over by buffer and
   // request_frame carries only byte accounting (wire_bytes 0, crc unused).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "src/checkpoint/checkpoint.h"
 #include "src/common/check.h"
 #include "src/rpc/rpc_system.h"
 
@@ -14,68 +13,26 @@ Channel::Channel(Client* client, std::string service_name, std::vector<MachineId
                  const ChannelOptions& options)
     : client_(client),
       service_name_(std::move(service_name)),
-      all_backends_(std::move(backends)),
+      backends_(std::move(backends)),
       options_(options),
-      rng_(options.seed),
-      outstanding_(all_backends_.size(), 0),
-      health_(all_backends_.size()) {
+      rng_(options.seed) {
   RPCSCOPE_CHECK(client != nullptr);
-  RPCSCOPE_CHECK(!all_backends_.empty());
-  eligible_.reserve(all_backends_.size());
-  ApplyCurrentPolicy();
-}
-
-void Channel::RefreshPolicy() {
-  if (client_->shard_context().policy.version() == policy_version_seen_) {
-    return;
-  }
-  ApplyCurrentPolicy();
-}
-
-void Channel::ApplyCurrentPolicy() {
-  const PolicyEngine& engine = client_->shard_context().policy;
-  const MethodPolicy p = engine.current().Resolve(options_.service_id, /*method_id=*/-1);
-  policy_version_seen_ = engine.version();
-  effective_policy_ =
-      p.pick_policy >= 0 ? static_cast<PickPolicy>(p.pick_policy) : options_.policy;
-  const int subset =
-      p.subset_size >= 0 ? static_cast<int>(p.subset_size) : options_.subset_size;
-  effective_deadline_ =
-      p.default_deadline >= 0 ? p.default_deadline : options_.default_deadline;
-  effective_max_retries_ =
-      p.max_retries >= 0 ? static_cast<int>(p.max_retries) : options_.default_max_retries;
-  effective_hedge_delay_ = p.hedge_delay >= 0 ? p.hedge_delay : options_.hedge_delay;
-  effective_outlier_enabled_ =
-      p.outlier_enabled >= 0 ? p.outlier_enabled != 0 : options_.outlier.enabled;
-  if (subset != effective_subset_size_ || backends_.empty()) {
-    effective_subset_size_ = subset;
-    RebuildActiveSet();
-  }
-}
-
-void Channel::RebuildActiveSet() {
-  const size_t n = all_backends_.size();
-  active_.resize(n);
-  std::iota(active_.begin(), active_.end(), size_t{0});
-  // Deterministic subsetting: shuffle the backend indexes with a
-  // client-derived seed and keep the first subset_size entries. Distinct
-  // clients land on distinct-but-evenly-spread subsets; the same client
-  // always gets the same subset — including after a checkpoint restore or a
-  // policy swap back to the same subset size.
-  if (effective_subset_size_ > 0 && effective_subset_size_ < static_cast<int>(n)) {
+  RPCSCOPE_CHECK(!backends_.empty());
+  // Deterministic subsetting: shuffle the backends with a client-derived
+  // seed and keep the first subset_size. Distinct clients land on
+  // distinct-but-evenly-spread subsets; the same client always gets the
+  // same subset.
+  if (options_.subset_size > 0 && options_.subset_size < static_cast<int>(backends_.size())) {
     Rng shuffle_rng(Mix64(options_.seed ^ static_cast<uint64_t>(client_->machine())));
-    for (size_t i = n; i > 1; --i) {
-      std::swap(active_[i - 1], active_[shuffle_rng.NextBounded(i)]);
+    for (size_t i = backends_.size(); i > 1; --i) {
+      std::swap(backends_[i - 1], backends_[shuffle_rng.NextBounded(i)]);
     }
-    active_.resize(static_cast<size_t>(effective_subset_size_));
+    backends_.resize(static_cast<size_t>(options_.subset_size));
   }
-  backends_.clear();
-  backends_.reserve(active_.size());
-  for (size_t full : active_) {
-    backends_.push_back(all_backends_[full]);
-  }
-  // Precompute the latency-aware order for the active view: base RTTs are
-  // static, the view changes only on a policy swap.
+  outstanding_.assign(backends_.size(), 0);
+  health_.resize(backends_.size());
+  eligible_.reserve(backends_.size());
+  // Precompute the latency-aware order: base RTTs are static.
   nearest_order_.resize(backends_.size());
   std::iota(nearest_order_.begin(), nearest_order_.end(), size_t{0});
   const Topology& topo = client_->system().topology();
@@ -87,7 +44,7 @@ void Channel::RebuildActiveSet() {
 }
 
 size_t Channel::PickAmongAll() {
-  switch (effective_policy_) {
+  switch (options_.policy) {
     case PickPolicy::kRoundRobin:
       return round_robin_next_++ % backends_.size();
     case PickPolicy::kRandom:
@@ -95,7 +52,7 @@ size_t Channel::PickAmongAll() {
     case PickPolicy::kLeastLoaded: {
       const size_t a = rng_.NextBounded(backends_.size());
       const size_t b = rng_.NextBounded(backends_.size());
-      return outstanding_[active_[a]] <= outstanding_[active_[b]] ? a : b;
+      return outstanding_[a] <= outstanding_[b] ? a : b;
     }
     case PickPolicy::kNearest:
       // Prefer the closest backend; spill to the next-closest when it has
@@ -103,7 +60,7 @@ size_t Channel::PickAmongAll() {
       for (size_t i = 0; i + 1 < nearest_order_.size(); ++i) {
         const size_t here = nearest_order_[i];
         const size_t next = nearest_order_[i + 1];
-        if (outstanding_[active_[here]] <= 2 * outstanding_[active_[next]] + 4) {
+        if (outstanding_[here] <= 2 * outstanding_[next] + 4) {
           return here;
         }
       }
@@ -113,7 +70,7 @@ size_t Channel::PickAmongAll() {
 }
 
 size_t Channel::PickAmongEligible() {
-  switch (effective_policy_) {
+  switch (options_.policy) {
     case PickPolicy::kRoundRobin:
       return eligible_[round_robin_next_++ % eligible_.size()];
     case PickPolicy::kRandom:
@@ -121,7 +78,7 @@ size_t Channel::PickAmongEligible() {
     case PickPolicy::kLeastLoaded: {
       const size_t a = eligible_[rng_.NextBounded(eligible_.size())];
       const size_t b = eligible_[rng_.NextBounded(eligible_.size())];
-      return outstanding_[active_[a]] <= outstanding_[active_[b]] ? a : b;
+      return outstanding_[a] <= outstanding_[b] ? a : b;
     }
     case PickPolicy::kNearest: {
       // Same spill rule, over the nearest ordering restricted to eligible
@@ -129,11 +86,11 @@ size_t Channel::PickAmongEligible() {
       size_t prev = backends_.size();  // Sentinel: no eligible seen yet.
       for (size_t i = 0; i < nearest_order_.size(); ++i) {
         const size_t pos = nearest_order_[i];
-        if (health_[active_[pos]].health != BackendHealth::kHealthy) {
+        if (health_[pos].health != BackendHealth::kHealthy) {
           continue;
         }
         if (prev != backends_.size() &&
-            outstanding_[active_[prev]] <= 2 * outstanding_[active_[pos]] + 4) {
+            outstanding_[prev] <= 2 * outstanding_[pos] + 4) {
           return prev;
         }
         prev = pos;
@@ -146,7 +103,7 @@ size_t Channel::PickAmongEligible() {
 
 size_t Channel::PickIndex(bool allow_canary) {
   picked_canary_ = false;
-  if (!effective_outlier_enabled_) {
+  if (!options_.outlier.enabled) {
     return PickAmongAll();
   }
   const SimTime now = client_->shard_context().sim().Now();
@@ -155,7 +112,7 @@ size_t Channel::PickIndex(bool allow_canary) {
   // normal picks — until the canary's outcome arrives).
   if (allow_canary) {
     for (size_t i = 0; i < backends_.size(); ++i) {
-      BackendState& bs = health_[active_[i]];
+      BackendState& bs = health_[i];
       if (bs.health == BackendHealth::kEjected && now >= bs.ejected_until) {
         bs.health = BackendHealth::kProbing;
         ++bs.canary_probes;
@@ -166,7 +123,7 @@ size_t Channel::PickIndex(bool allow_canary) {
   }
   eligible_.clear();
   for (size_t i = 0; i < backends_.size(); ++i) {
-    if (health_[active_[i]].health == BackendHealth::kHealthy) {
+    if (health_[i].health == BackendHealth::kHealthy) {
       eligible_.push_back(i);
     }
   }
@@ -217,7 +174,7 @@ void Channel::Eject(size_t index, SimTime now) {
 
 void Channel::OnAttemptOutcome(size_t index, bool canary, StatusCode code,
                                SimDuration latency) {
-  if (!effective_outlier_enabled_) {
+  if (!options_.outlier.enabled) {
     return;
   }
   BackendState& bs = health_[index];
@@ -270,37 +227,34 @@ void Channel::OnAttemptOutcome(size_t index, bool canary, StatusCode code,
 }
 
 MachineId Channel::PeekTarget() {
-  RefreshPolicy();
-  if (effective_policy_ == PickPolicy::kRoundRobin) {
+  if (options_.policy == PickPolicy::kRoundRobin) {
     return backends_[round_robin_next_ % backends_.size()];
   }
-  if (effective_policy_ == PickPolicy::kNearest) {
+  if (options_.policy == PickPolicy::kNearest) {
     return backends_[nearest_order_.front()];
   }
   return backends_[0];
 }
 
 void Channel::Call(MethodId method, Payload request, CallOptions options, CallCallback done) {
-  RefreshPolicy();
   const size_t index = PickIndex(/*allow_canary=*/true);
-  const size_t full = active_[index];
   const bool canary = picked_canary_;
-  ++health_[full].picks;
+  ++health_[index].picks;
   if (options.service_id < 0) {
     options.service_id = options_.service_id;
   }
   if (options.deadline == 0) {
-    options.deadline = effective_deadline_;
+    options.deadline = options_.default_deadline;
   }
   if (options.max_retries == 0) {
-    options.max_retries = effective_max_retries_;
+    options.max_retries = options_.default_max_retries;
   }
   // A canary probe is never hedged: the probe exists to measure the probed
   // backend, and a hedge rescue would finish the call elsewhere, leaving the
   // probe outcome (kCancelled) unable to resolve the probing state.
-  if (effective_hedge_delay_ > 0 && options.hedge_delay == 0 && backends_.size() > 1 &&
+  if (options_.hedge_delay > 0 && options.hedge_delay == 0 && backends_.size() > 1 &&
       !canary) {
-    options.hedge_delay = effective_hedge_delay_;
+    options.hedge_delay = options_.hedge_delay;
     // The hedge alternate must not consume a canary slot: its outcome is not
     // attributed per-backend, so a probe launched here could never resolve.
     size_t alt = PickIndex(/*allow_canary=*/false);
@@ -309,141 +263,29 @@ void Channel::Call(MethodId method, Payload request, CallOptions options, CallCa
     }
     options.hedge_target = backends_[alt];
   }
-  ++outstanding_[full];
+  ++outstanding_[index];
   // Health samples come from per-attempt outcomes, not the call outcome: a
   // hedge that rescues a call must still charge the primary backend for its
   // failure (and the hedge's own backend for its result). Attribution is by
-  // the attempt's target machine so it survives subset reshapes mid-flight.
+  // the attempt's target machine, since a hedge touches another backend.
   options.attempt_observer = [this, canary, primary = backends_[index]](
                                  MachineId target, StatusCode code, SimDuration latency) {
     if (code == StatusCode::kCancelled) {
       return;  // An abandoned hedge loser was never answered: no signal.
     }
-    for (size_t f = 0; f < all_backends_.size(); ++f) {
-      if (all_backends_[f] == target) {
-        OnAttemptOutcome(f, canary && target == primary, code, latency);
+    for (size_t i = 0; i < backends_.size(); ++i) {
+      if (backends_[i] == target) {
+        OnAttemptOutcome(i, canary && target == primary, code, latency);
         return;
       }
     }
   };
   client_->Call(backends_[index], method, std::move(request), options,
-                [this, full, done = std::move(done)](const CallResult& result,
-                                                     Payload response) {
-                  --outstanding_[full];
+                [this, index, done = std::move(done)](const CallResult& result,
+                                                      Payload response) {
+                  --outstanding_[index];
                   done(result, std::move(response));
                 });
-}
-
-Status Channel::CheckpointTo(CheckpointWriter& w) const {
-  for (int64_t n : outstanding_) {
-    if (n != 0) {
-      return FailedPreconditionError("channel has outstanding calls at checkpoint");
-    }
-  }
-  if (picked_canary_) {
-    return FailedPreconditionError("channel mid-pick at checkpoint");
-  }
-  w.BeginSection("channel");
-  w.WriteString(service_name_);
-  w.WriteU64(options_.seed);
-  w.WriteU32(static_cast<uint32_t>(all_backends_.size()));
-  for (MachineId backend : all_backends_) {
-    w.WriteI64(backend);
-  }
-  // Active-view shape, for validation only: the view itself is derived by
-  // re-resolving the restored PolicyEngine, never deserialized.
-  w.WriteU32(static_cast<uint32_t>(active_.size()));
-  w.WriteU32(static_cast<uint32_t>(nearest_order_.size()));
-  w.WriteU64(policy_version_seen_);
-  WriteRngState(w, rng_);
-  w.WriteU64(round_robin_next_);
-  for (const BackendState& b : health_) {
-    w.WriteU32(static_cast<uint32_t>(b.health));
-    w.WriteI64(b.ejected_until);
-    w.WriteU32(static_cast<uint32_t>(b.consecutive_ejections));
-    w.WriteI64(b.cur_total);
-    w.WriteI64(b.cur_bad);
-    w.WriteI64(b.prev_total);
-    w.WriteI64(b.prev_bad);
-    w.WriteI64(b.half_window_start);
-    w.WriteU64(b.picks);
-    w.WriteU64(b.ejections);
-    w.WriteU64(b.canary_probes);
-    w.WriteU64(b.readmissions);
-  }
-  w.EndSection();
-  return Status::Ok();
-}
-
-Status Channel::RestoreFrom(CheckpointReader& r) {
-  for (int64_t n : outstanding_) {
-    if (n != 0) {
-      return FailedPreconditionError("restore into a channel with outstanding calls");
-    }
-  }
-  if (Status s = r.EnterSection("channel"); !s.ok()) {
-    return s;
-  }
-  const std::string service_name = r.ReadString();
-  const uint64_t seed = r.ReadU64();
-  const uint32_t num_backends = r.ReadU32();
-  std::vector<MachineId> backends;
-  backends.reserve(num_backends);
-  for (uint32_t i = 0; i < num_backends && r.status().ok(); ++i) {
-    backends.push_back(r.ReadI64());
-  }
-  const uint32_t active_size = r.ReadU32();
-  const uint32_t nearest_order_size = r.ReadU32();
-  const uint64_t policy_version = r.ReadU64();
-  Rng rng(0);
-  ReadRngState(r, rng);
-  const uint64_t round_robin_next = r.ReadU64();
-  std::vector<BackendState> health(backends.size());
-  for (BackendState& b : health) {
-    const uint32_t h = r.ReadU32();
-    if (r.status().ok() && h > static_cast<uint32_t>(BackendHealth::kProbing)) {
-      (void)r.LeaveSection();
-      return DataLossError("channel: invalid backend health state");
-    }
-    b.health = static_cast<BackendHealth>(h);
-    b.ejected_until = r.ReadI64();
-    b.consecutive_ejections = static_cast<int>(r.ReadU32());
-    b.cur_total = r.ReadI64();
-    b.cur_bad = r.ReadI64();
-    b.prev_total = r.ReadI64();
-    b.prev_bad = r.ReadI64();
-    b.half_window_start = r.ReadI64();
-    b.picks = r.ReadU64();
-    b.ejections = r.ReadU64();
-    b.canary_probes = r.ReadU64();
-    b.readmissions = r.ReadU64();
-  }
-  if (Status s = r.LeaveSection(); !s.ok()) {
-    return s;
-  }
-  if (service_name != service_name_ || seed != options_.seed || backends != all_backends_ ||
-      health.size() != health_.size()) {
-    return FailedPreconditionError("channel: checkpoint is for a different channel configuration");
-  }
-  rng_ = rng;
-  round_robin_next_ = static_cast<size_t>(round_robin_next);
-  health_ = std::move(health);
-  eligible_.clear();
-  picked_canary_ = false;
-  // The shard's PolicyEngine is restored before its components, so
-  // re-resolving here lands on the engine's current snapshot. The checkpoint
-  // may have been taken while this channel was still *stale* (no call since
-  // the barrier swap, so it never re-resolved): in that case the eager
-  // rebuild here is behaviorally identical to the lazy rebuild the
-  // uninterrupted run performs on the next Call — the subset shuffle draws
-  // from a constructor-seeded local RNG, not shard state. Only when the
-  // checkpoint saw the same version must the recomputed shape match.
-  ApplyCurrentPolicy();
-  if (policy_version == policy_version_seen_ &&
-      (active_size != active_.size() || nearest_order_size != nearest_order_.size())) {
-    return FailedPreconditionError("channel: restored active view differs from checkpoint");
-  }
-  return Status::Ok();
 }
 
 }  // namespace rpcscope

@@ -78,15 +78,13 @@ struct ChannelOptions {
   SimDuration hedge_delay = 0;
   OutlierEjectionOptions outlier;
   uint64_t seed = 0xc4a77e1;
-  // Service this channel fronts, for policy-plane resolution (docs/POLICY.md):
-  // the channel re-resolves its service-wide MethodPolicy from the shard's
-  // PolicyEngine whenever the engine's snapshot version changes, and any
-  // policy field left at its inherit sentinel falls back to the fields above.
-  // -1 resolves only fleet-wide defaults.
+  // Service this channel fronts, stamped on each call whose CallOptions leave
+  // service_id unset: spans record it, and the client resolves that service's
+  // policy-plane entry (docs/POLICY.md). The channel itself reads only the
+  // options above. -1 = unknown (fleet-wide policy defaults only).
   int32_t service_id = -1;
 };
 
-// RPCSCOPE_CHECKPOINTED(Channel::CheckpointTo, Channel::RestoreFrom)
 class Channel {
  public:
   // `backends` must be non-empty; the channel keeps a reference to `client`.
@@ -103,39 +101,20 @@ class Channel {
   MachineId PeekTarget();
 
   const std::string& service_name() const { return service_name_; }
-  // The active (post-subsetting) backend list under the policy in force.
+  // The backend list after subsetting, fixed at construction.
   const std::vector<MachineId>& backends() const { return backends_; }
-  int64_t outstanding(size_t backend_index) const {
-    return outstanding_[active_[backend_index]];
-  }
+  int64_t outstanding(size_t backend_index) const { return outstanding_[backend_index]; }
 
-  // Ejection introspection (per backend index, post-subsetting). Health state
-  // is keyed by the backend itself, not its subset slot, so it survives a
-  // policy swap that reshapes the subset.
-  BackendHealth health(size_t backend_index) const {
-    return health_[active_[backend_index]].health;
-  }
-  uint64_t picks(size_t backend_index) const {
-    return health_[active_[backend_index]].picks;
-  }
-  uint64_t ejections(size_t backend_index) const {
-    return health_[active_[backend_index]].ejections;
-  }
+  // Ejection introspection (per backend index, post-subsetting).
+  BackendHealth health(size_t backend_index) const { return health_[backend_index].health; }
+  uint64_t picks(size_t backend_index) const { return health_[backend_index].picks; }
+  uint64_t ejections(size_t backend_index) const { return health_[backend_index].ejections; }
   uint64_t canary_probes(size_t backend_index) const {
-    return health_[active_[backend_index]].canary_probes;
+    return health_[backend_index].canary_probes;
   }
   uint64_t readmissions(size_t backend_index) const {
-    return health_[active_[backend_index]].readmissions;
+    return health_[backend_index].readmissions;
   }
-  // Snapshot version the channel's effective knobs were last resolved from.
-  uint64_t policy_version_seen() const { return policy_version_seen_; }
-
-  // Checkpoint support (docs/ROBUSTNESS.md#checkpointrestore). Valid only at
-  // a quiescent barrier: every outstanding count must be zero. Carries the
-  // pick cursor, RNG stream, and full per-backend ejection state so resumed
-  // picks and breaker decisions continue bit-for-bit.
-  [[nodiscard]] Status CheckpointTo(CheckpointWriter& w) const;
-  [[nodiscard]] Status RestoreFrom(CheckpointReader& r);
 
  private:
   struct BackendState {
@@ -154,61 +133,33 @@ class Channel {
     uint64_t readmissions = 0;
   };
 
-  // Re-resolves the effective knobs from the shard PolicyEngine when its
-  // snapshot version changed since the last call (cheap no-op otherwise).
-  // Called at the top of Call/PeekTarget, so a barrier swap takes effect on
-  // the first pick after the barrier.
-  void RefreshPolicy();
-  // Applies the current snapshot unconditionally (construction + restore).
-  void ApplyCurrentPolicy();
-  // Rebuilds backends_/active_/nearest_order_ for the effective subset size.
-  void RebuildActiveSet();
-
-  // Picks return *positions* into the active view (backends_/active_);
-  // per-backend state is reached through active_[position].
+  // Picks return positions into backends_, which also index outstanding_
+  // and health_.
   size_t PickIndex(bool allow_canary);
   // The pre-ejection pick policies, unchanged (also the fast path when the
   // ejector is disabled or every backend is healthy).
   size_t PickAmongAll();
   size_t PickAmongEligible();
   bool IsBadAttempt(StatusCode code, SimDuration latency) const;
-  // `index` is a *full* backend index (into all_backends_/health_): outcome
-  // attribution must survive subset reshapes while the call was in flight.
   // Invoked once per attempt (via CallOptions::attempt_observer), so a
   // hedged call contributes a sample for each backend it actually touched.
   void OnAttemptOutcome(size_t index, bool canary, StatusCode code, SimDuration latency);
   void Eject(size_t index, SimTime now);
 
-  Client* client_;  // NOLINT(detan-checkpoint-field) structural
+  Client* client_;
   std::string service_name_;
-  std::vector<MachineId> all_backends_;  // Full configured list, fixed order.
-  // Active view under the policy in force: backends_[p] == all_backends_[active_[p]].
-  std::vector<MachineId> backends_;  // NOLINT(detan-checkpoint-field) derived via RebuildActiveSet
-  std::vector<size_t> active_;
+  std::vector<MachineId> backends_;
   ChannelOptions options_;
   Rng rng_;
   size_t round_robin_next_ = 0;
-  // Keyed by full backend index; sized to all_backends_. State persists
-  // across policy-driven subset reshapes.
   std::vector<int64_t> outstanding_;
-  std::vector<size_t> nearest_order_;  // Active positions sorted by base RTT.
+  std::vector<size_t> nearest_order_;  // Positions sorted by base RTT.
   std::vector<BackendState> health_;
-  // Healthy active positions, rebuilt per pick when ejections are active
-  // (capacity reused across picks; no steady-state allocation).
-  std::vector<size_t> eligible_;  // NOLINT(detan-checkpoint-field) contentless scratch
+  // Healthy positions, rebuilt per pick when ejections are active (capacity
+  // reused across picks; no steady-state allocation).
+  std::vector<size_t> eligible_;
   // Set by PickIndex when the returned pick is a canary probe.
   bool picked_canary_ = false;
-
-  // Effective knobs = policy resolve over constructor options (inherit
-  // sentinels fall back to options_). Derived: recomputed from the restored
-  // PolicyEngine on RestoreFrom, never serialized.
-  uint64_t policy_version_seen_ = 0;
-  PickPolicy effective_policy_ = PickPolicy::kLeastLoaded;  // NOLINT(detan-checkpoint-field) derived
-  int effective_subset_size_ = 0;          // NOLINT(detan-checkpoint-field) derived
-  SimDuration effective_deadline_ = 0;     // NOLINT(detan-checkpoint-field) derived
-  int effective_max_retries_ = 0;          // NOLINT(detan-checkpoint-field) derived
-  SimDuration effective_hedge_delay_ = 0;  // NOLINT(detan-checkpoint-field) derived
-  bool effective_outlier_enabled_ = false;  // NOLINT(detan-checkpoint-field) derived
 };
 
 }  // namespace rpcscope

@@ -47,9 +47,6 @@ struct Client::CallState {
   int attempts_inflight = 0;
   int retries_used = 0;
   bool hedge_launched = false;
-  // Policy-resolved at issue time: attempts to this client's own machine take
-  // the colocated fast path (docs/POLICY.md#colocated-bypass).
-  bool colocated_bypass = false;
 };
 
 struct Client::Attempt {
@@ -84,7 +81,7 @@ Client::Client(RpcSystem* system, MachineId machine, const ClientOptions& option
                          static_cast<uint64_t>(machine))),
       retry_budget_(options.retry_budget),
       rx_processing_overhead_(options.rx_processing_overhead),
-      colocated_bypass_base_(options.colocated_bypass),
+      colocated_bypass_(options.colocated_bypass),
       retries_counter_(&shard_->metrics.GetCounter("client.retries")),
       retry_exhausted_counter_(&shard_->metrics.GetCounter("client.retry_budget_exhausted")),
       queue_rejected_counter_(&shard_->metrics.GetCounter("client.queue_rejected")),
@@ -93,24 +90,7 @@ Client::Client(RpcSystem* system, MachineId machine, const ClientOptions& option
       completions_err_counter_(&shard_->metrics.GetCounter("client.completions_err")),
       colocated_counter_(&shard_->metrics.GetCounter("client.colocated_calls")),
       tax_cycles_counter_(&shard_->metrics.GetCounter("client.tax_cycles")),
-      avoided_tax_counter_(&shard_->metrics.GetCounter("client.avoided_tax_cycles")) {
-  policy_version_seen_ = shard_->policy.version();
-  const MethodPolicy fleet = shard_->policy.current().Resolve(-1, -1);
-  retry_budget_.Reconfigure(fleet.retry_budget_max_tokens, fleet.retry_budget_refill);
-}
-
-MethodPolicy Client::ResolveCallPolicy(int32_t service_id, MethodId method) {
-  const PolicyEngine& engine = shard_->policy;
-  if (engine.version() != policy_version_seen_) {
-    policy_version_seen_ = engine.version();
-    // The retry budget is client-scoped, not method-scoped, so its shape
-    // follows the fleet-wide defaults (service/method entries can't
-    // meaningfully resize a shared bucket).
-    const MethodPolicy fleet = engine.current().Resolve(-1, -1);
-    retry_budget_.Reconfigure(fleet.retry_budget_max_tokens, fleet.retry_budget_refill);
-  }
-  return engine.current().Resolve(service_id, method);
-}
+      avoided_tax_counter_(&shard_->metrics.GetCounter("client.avoided_tax_cycles")) {}
 
 void Client::CountCompletion(StatusCode code) {
   if (code == StatusCode::kOk) {
@@ -132,11 +112,12 @@ void Client::Call(MachineId target, MethodId method, Payload request, const Call
   st->trace_id = options.trace_id != 0 ? options.trace_id : shard_->tracer.NewTraceId();
   st->issue_time = shard_->sim().Now();
 
-  // Managed policy resolution (docs/POLICY.md): retry pacing is owned by the
-  // policy plane outright (a staged rollout of a bad backoff must land even
-  // on calls with library defaults), the remaining knobs fill in only where
-  // the caller/channel left them unset.
-  const MethodPolicy policy = ResolveCallPolicy(st->options.service_id, method);
+  // Managed policy resolution (docs/POLICY.md), against the snapshot in force
+  // for this call's service: retry pacing is owned by the policy plane
+  // outright (a staged rollout of a bad backoff must land even on calls with
+  // library defaults), the retry count and watchdog fill in only where the
+  // caller (or its channel) left them unset.
+  const MethodPolicy policy = shard_->policy.current().Resolve(st->options.service_id);
   if (policy.retry_backoff >= 0) {
     st->options.retry_backoff = policy.retry_backoff;
   }
@@ -149,11 +130,6 @@ void Client::Call(MachineId target, MethodId method, Payload request, const Call
   if (policy.attempt_timeout >= 0 && st->options.attempt_timeout == 0) {
     st->options.attempt_timeout = policy.attempt_timeout;
   }
-  if (policy.default_deadline >= 0 && st->options.deadline == 0) {
-    st->options.deadline = policy.default_deadline;
-  }
-  st->colocated_bypass =
-      policy.colocated_bypass >= 0 ? policy.colocated_bypass != 0 : colocated_bypass_base_;
 
   // Deadline propagation: a child call never outlives its parent's budget.
   if (st->options.parent_deadline_time > 0) {
@@ -243,7 +219,7 @@ void Client::StartAttempt(std::shared_ptr<CallState> st, MachineId target) {
     });
   }
 
-  if (st->colocated_bypass && target == machine_) {
+  if (colocated_bypass_ && target == machine_) {
     StartColocatedAttempt(std::move(st), std::move(att));
     return;
   }
@@ -302,7 +278,6 @@ void Client::StartAttempt(std::shared_ptr<CallState> st, MachineId target) {
           req.trace_id = st->trace_id;
           req.span_id = att->span_id;
           req.request_wire = wire;
-          req.service_id = st->options.service_id;
           req.respond = [this, st, att](ServerReply reply) { OnReply(st, att, std::move(reply)); };
           server->DeliverRequest(std::move(req));
         });
@@ -353,7 +328,6 @@ void Client::StartColocatedAttempt(std::shared_ptr<CallState> st, std::shared_pt
       req.deadline_time = st->options.deadline > 0 ? st->issue_time + st->options.deadline : 0;
       req.trace_id = st->trace_id;
       req.span_id = att->span_id;
-      req.service_id = st->options.service_id;
       req.colocated = true;
       // Hand-off by buffer: the request payload crosses to the server without
       // an encode (copied, not serialized — retries may still need it).
@@ -590,8 +564,7 @@ Status Client::CheckpointTo(CheckpointWriter& w) const {
   w.WriteU64(attempt_timeouts_);
   w.WriteU64(dead_on_arrival_);
   w.WriteDouble(wasted_cycles_);
-  w.WriteBool(colocated_bypass_base_);
-  w.WriteU64(policy_version_seen_);
+  w.WriteBool(colocated_bypass_);
   w.WriteU64(colocated_calls_);
   w.WriteDouble(avoided_tax_cycles_);
   w.EndSection();
@@ -625,8 +598,7 @@ Status Client::RestoreFrom(CheckpointReader& r) {
   const uint64_t attempt_timeouts = r.ReadU64();
   const uint64_t dead_on_arrival = r.ReadU64();
   const double wasted_cycles = r.ReadDouble();
-  const bool colocated_bypass_base = r.ReadBool();
-  const uint64_t policy_version_seen = r.ReadU64();
+  const bool colocated_bypass = r.ReadBool();
   const uint64_t colocated_calls = r.ReadU64();
   const double avoided_tax_cycles = r.ReadDouble();
   if (Status s = r.LeaveSection(); !s.ok()) {
@@ -634,7 +606,7 @@ Status Client::RestoreFrom(CheckpointReader& r) {
   }
   if (machine != machine_ || machine_speed != machine_speed_ ||
       rx_processing_overhead != rx_processing_overhead_ ||
-      colocated_bypass_base != colocated_bypass_base_) {
+      colocated_bypass != colocated_bypass_) {
     return FailedPreconditionError("client: checkpoint is for a different client configuration");
   }
   if (calls_issued != calls_completed) {
@@ -654,15 +626,6 @@ Status Client::RestoreFrom(CheckpointReader& r) {
   wasted_cycles_ = wasted_cycles;
   colocated_calls_ = colocated_calls;
   avoided_tax_cycles_ = avoided_tax_cycles;
-  // The engine is restored before the components (docs/POLICY.md): re-apply
-  // the fleet-default budget shape for the current snapshot so the derived
-  // budget configuration matches the checkpointed run. The saved version may
-  // legitimately lag the engine's — a client that issued no calls after a
-  // barrier swap never observed the new version — so no equality is required;
-  // the next call resolves against the engine's current snapshot either way.
-  policy_version_seen_ = policy_version_seen;
-  const MethodPolicy fleet = shard_->policy.current().Resolve(-1, -1);
-  retry_budget_.Reconfigure(fleet.retry_budget_max_tokens, fleet.retry_budget_refill);
   if (Status s = tx_pool_.RestoreFrom(r); !s.ok()) {
     return s;
   }

@@ -13,6 +13,11 @@
 // calls inherit the remaining parent deadline (CallOptions::
 // parent_deadline_time) so work past a dead deadline stops immediately.
 //
+// The client is the managed policy plane's only reader (docs/POLICY.md):
+// Client::Call resolves the shard's current snapshot for the call's service
+// on every call. The plane's retry backoff and cap replace the call's; its
+// max_retries and attempt_timeout fill only fields the caller left unset.
+//
 // Every frame the client encodes or decodes is priced under the baseline
 // tax profile, the calibrated host pipeline (docs/TAX.md). Offload profiles
 // act only in the offline what-if (AnalyzeOffloadWhatIf).
@@ -52,8 +57,7 @@ struct ClientOptions {
   // whose target is this client's own machine skip serialization and the
   // fabric entirely, handing the payload over by shared buffer and charging
   // only the RPC library bookkeeping per side. The bypassed stage costs are
-  // recorded on the span as avoided tax. The policy plane can override this
-  // per service/method (MethodPolicy::colocated_bypass).
+  // recorded on the span as avoided tax. Fixed for the client's lifetime.
   bool colocated_bypass = false;
 };
 
@@ -111,9 +115,6 @@ class Client {
   // encode, no fabric — the payload is handed to the local server by buffer
   // and only RPC library bookkeeping cycles are charged per side.
   void StartColocatedAttempt(std::shared_ptr<CallState> st, std::shared_ptr<Attempt> att);
-  // Applies the fleet-default retry-budget shape once per policy version and
-  // resolves the per-call policy for (service_id, method).
-  MethodPolicy ResolveCallPolicy(int32_t service_id, MethodId method);
   // Fails an attempt from the frame-delivery path (no server / server down).
   // Runs in the *target's* domain: same-domain completes inline (legacy
   // behavior); cross-domain routes the failure back to the client's domain
@@ -142,12 +143,7 @@ class Client {
   // Reused across every frame this client encodes/decodes; see WireScratch.
   WireScratch scratch_;  // NOLINT(detan-checkpoint-field) contentless scratch
   SimDuration rx_processing_overhead_ = 0;
-  // Constructor-time bypass default; the policy plane's colocated_bypass
-  // tri-state overrides it per call.
-  bool colocated_bypass_base_ = false;
-  // Policy version whose fleet defaults were last applied to the retry
-  // budget. Re-applied (idempotently) after a checkpoint restore.
-  uint64_t policy_version_seen_ = 0;
+  bool colocated_bypass_ = false;
   uint64_t calls_issued_ = 0;
   uint64_t calls_completed_ = 0;
   uint64_t retries_attempted_ = 0;

@@ -60,23 +60,6 @@ class RetryBudget {
     return true;
   }
 
-  // Applies a policy-plane override of the bucket's shape (docs/POLICY.md).
-  // Negative arguments leave the corresponding knob unchanged; the current
-  // level clamps down to a lowered cap immediately. Enablement never changes:
-  // a budget the client did not configure stays disabled (fail-open, same as
-  // every other policy fallback).
-  void Reconfigure(double max_tokens, double refill_per_success) {
-    if (max_tokens >= 0) {
-      options_.max_tokens = max_tokens;
-      if (tokens_ > options_.max_tokens) {
-        tokens_ = options_.max_tokens;
-      }
-    }
-    if (refill_per_success >= 0) {
-      options_.refill_per_success = refill_per_success;
-    }
-  }
-
   bool enabled() const { return options_.enabled; }
   double tokens() const { return tokens_; }
   // Number of retries suppressed because the bucket was empty — the

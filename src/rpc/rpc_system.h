@@ -63,9 +63,10 @@ struct RpcSystemOptions {
   // Managed policy plane (src/policy/policy.h, docs/POLICY.md). The timeline's
   // initial snapshot is in force from time 0; staged snapshots are applied by
   // every shard's PolicyEngine at conservative-round barriers, so a hot-swap
-  // is deterministic and bit-for-bit identical for any worker count. The
-  // default (empty) timeline reproduces pre-policy behavior exactly: every
-  // component falls back to its own constructor-time options.
+  // is deterministic and bit-for-bit identical for any worker count. Its
+  // only reader is Client::Call, which resolves the retry knobs of the
+  // call's service on every call. The default (empty) timeline reproduces
+  // pre-policy behavior exactly: every call keeps its own CallOptions.
   PolicyTimeline policy;
 
   // Streaming observability pipeline (src/monitor/stream.h). Every shard
@@ -103,8 +104,8 @@ class RpcSystem {
     Rng rng;
     // Shard-local view of the system's policy timeline. Advanced only at
     // barriers on the coordinator (RpcSystem::AdvancePolicies), read by this
-    // shard's channels/clients/servers during round execution — the same
-    // phase split that keeps sink flushes race-free.
+    // shard's clients during round execution — the same phase split that
+    // keeps sink flushes race-free.
     PolicyEngine policy;
     // Shard-local streaming sink, never null. Written only from this shard's
     // round execution; drained only at barriers on the coordinator

@@ -208,13 +208,7 @@ void Server::DeliverRequest(IncomingRequest request) {
     // would join the app queue (where the depth it must wait behind is
     // known): if the caller's remaining budget cannot cover the expected
     // wait, shed now rather than time the request out after doing the work.
-    bool shed_on_deadline = options_.shed_on_deadline;
-    const MethodPolicy policy =
-        shard_->policy.current().Resolve(fl->req.service_id, fl->req.method);
-    if (policy.shed_on_deadline >= 0) {
-      shed_on_deadline = policy.shed_on_deadline != 0;
-    }
-    if (shed_on_deadline && fl->req.deadline_time > 0 && app_time_ewma_ns_ > 0) {
+    if (options_.shed_on_deadline && fl->req.deadline_time > 0 && app_time_ewma_ns_ > 0) {
       const double expected_wait_ns =
           static_cast<double>(app_pool_.queue_depth()) /
           static_cast<double>(options_.app_workers) * app_time_ewma_ns_;

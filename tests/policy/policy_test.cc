@@ -20,34 +20,30 @@ TEST(MethodPolicyTest, DefaultIsAllInherit) {
 TEST(MethodPolicyTest, MergeFromOverlaysOnlySetFields) {
   MethodPolicy base;
   base.max_retries = 2;
-  base.hedge_delay = Micros(500);
+  base.retry_backoff = Micros(500);
   MethodPolicy over;
   over.max_retries = 5;
   base.MergeFrom(over);
   EXPECT_EQ(base.max_retries, 5);
-  EXPECT_EQ(base.hedge_delay, Micros(500));  // Inherit sentinel didn't clobber.
+  EXPECT_EQ(base.retry_backoff, Micros(500));  // Inherit sentinel didn't clobber.
 }
 
 TEST(PolicySnapshotTest, ResolvePrecedenceNarrowestWins) {
   PolicySnapshot snap;
   snap.defaults.max_retries = 1;
-  snap.defaults.subset_size = 4;
-  MethodPolicy service_wide;
-  service_wide.max_retries = 2;
-  snap.SetOverride(7, -1, service_wide);
-  MethodPolicy exact;
-  exact.max_retries = 3;
-  snap.SetOverride(7, 42, exact);
+  snap.defaults.attempt_timeout = Millis(4);
+  MethodPolicy service;
+  service.max_retries = 2;
+  snap.SetOverride(7, service);
 
   // Unknown service: fleet defaults only.
-  EXPECT_EQ(snap.Resolve(9, 1).max_retries, 1);
-  // Known service, other method: service-wide wins over defaults.
-  EXPECT_EQ(snap.Resolve(7, 1).max_retries, 2);
-  // Exact entry wins over both.
-  EXPECT_EQ(snap.Resolve(7, 42).max_retries, 3);
-  // Fields no layer set stay inherited from the wider scopes.
-  EXPECT_EQ(snap.Resolve(7, 42).subset_size, 4);
-  EXPECT_EQ(snap.Resolve(7, 42).hedge_delay, -1);
+  EXPECT_EQ(snap.Resolve(9).max_retries, 1);
+  // The service's entry wins over the defaults.
+  EXPECT_EQ(snap.Resolve(7).max_retries, 2);
+  // Fields the entry left unset inherit the defaults; fields no layer set
+  // stay at the sentinel.
+  EXPECT_EQ(snap.Resolve(7).attempt_timeout, Millis(4));
+  EXPECT_EQ(snap.Resolve(7).retry_backoff, -1);
 }
 
 TEST(PolicySnapshotTest, ContentHashSeesEveryLayer) {
@@ -55,8 +51,8 @@ TEST(PolicySnapshotTest, ContentHashSeesEveryLayer) {
   PolicySnapshot b;
   EXPECT_EQ(a.ContentHash(0xfeed), b.ContentHash(0xfeed));
   MethodPolicy p;
-  p.colocated_bypass = 1;
-  b.SetOverride(3, -1, p);
+  p.retry_backoff_cap = Millis(1);
+  b.SetOverride(3, p);
   EXPECT_NE(a.ContentHash(0xfeed), b.ContentHash(0xfeed));
 }
 
@@ -81,7 +77,7 @@ TEST(PolicyTimelineTest, AddStageAutoVersions) {
 TEST(PolicyEngineTest, UnboundEngineServesEmptySnapshot) {
   PolicyEngine engine;
   EXPECT_EQ(engine.version(), 0u);
-  EXPECT_TRUE(engine.current().Resolve(1, 2).IsInherit());
+  EXPECT_TRUE(engine.current().Resolve(1).IsInherit());
   engine.ApplyThrough(Seconds(100));  // No timeline: a no-op.
   EXPECT_EQ(engine.version(), 0u);
 }
@@ -101,12 +97,12 @@ TEST(PolicyEngineTest, ApplyThroughWalksStagesByWatermark) {
   EXPECT_EQ(engine.version(), 0u);
   engine.ApplyThrough(Millis(10));
   EXPECT_EQ(engine.version(), 1u);
-  EXPECT_EQ(engine.current().Resolve(-1, -1).max_retries, 7);
+  EXPECT_EQ(engine.current().Resolve(-1).max_retries, 7);
   // A watermark past every stage applies them all; re-applying is idempotent.
   engine.ApplyThrough(Seconds(5));
   engine.ApplyThrough(Seconds(5));
   EXPECT_EQ(engine.version(), 2u);
-  EXPECT_EQ(engine.current().Resolve(-1, -1).max_retries, 9);
+  EXPECT_EQ(engine.current().Resolve(-1).max_retries, 9);
 }
 
 TEST(PolicyEngineTest, CheckpointRoundTripsCursor) {

@@ -364,77 +364,6 @@ TEST_F(ChannelTest, SubsetEjectionHedgingInterplay) {
   }
 }
 
-TEST(ChannelPolicySwapTest, SwapRebuildsSubsetMidRun) {
-  // A staged policy snapshot that introduces subsetting must take effect at
-  // its swap time: the channel rebuilds its active view on the next pick and
-  // machines outside the new subset see no further traffic. Unit tests drive
-  // the swap directly (single-domain runs have no conservative-round
-  // barriers); sharded runs apply the same watermark at barriers.
-  RpcSystemOptions sys_opts;
-  sys_opts.fabric.congestion_probability = 0;
-  PolicySnapshot snap;
-  snap.defaults.subset_size = 2;
-  sys_opts.policy.AddStage(Millis(50), snap);
-  RpcSystem system(sys_opts);
-
-  Client client(&system, system.topology().MachineAt(0, 30));
-  // All near backends so every in-flight call drains within ~2ms of issue.
-  std::vector<MachineId> backends;
-  std::vector<std::unique_ptr<Server>> servers;
-  for (MachineId m : {system.topology().MachineAt(0, 0), system.topology().MachineAt(0, 1),
-                      system.topology().MachineAt(1, 0), system.topology().MachineAt(1, 1)}) {
-    backends.push_back(m);
-    auto server = std::make_unique<Server>(&system, m, ServerOptions{});
-    server->RegisterMethod(kEcho, "Echo", [](std::shared_ptr<ServerCall> call) {
-      call->Compute(Micros(200), [call]() {
-        call->Finish(Status::Ok(), Payload::Modeled(128));
-      });
-    });
-    servers.push_back(std::move(server));
-  }
-
-  ChannelOptions opts;
-  opts.policy = PickPolicy::kRoundRobin;
-  Channel channel(&client, "echo", backends, opts);
-  EXPECT_EQ(channel.backends().size(), 4u);
-  EXPECT_EQ(channel.policy_version_seen(), 0u);
-
-  system.sim().Schedule(Millis(50), [&]() {
-    system.shard(0).policy.ApplyThrough(system.sim().Now());
-  });
-  int ok = 0;
-  for (int i = 0; i < 100; ++i) {
-    system.sim().Schedule(Millis(1) * i, [&]() {
-      channel.Call(kEcho, Payload::Modeled(64), [&](const CallResult& r, Payload) {
-        if (r.status.ok()) {
-          ++ok;
-        }
-      });
-    });
-  }
-  // Snapshot per-server counts shortly after the swap, once pre-swap
-  // in-flight calls have drained.
-  std::vector<uint64_t> served_at_swap(servers.size(), 0);
-  system.sim().Schedule(Millis(53), [&]() {
-    for (size_t s = 0; s < servers.size(); ++s) {
-      served_at_swap[s] = servers[s]->requests_served();
-    }
-  });
-  system.sim().Run();
-
-  EXPECT_EQ(ok, 100);
-  EXPECT_EQ(channel.policy_version_seen(), 1u);
-  ASSERT_EQ(channel.backends().size(), 2u);
-  const std::set<MachineId> subset(channel.backends().begin(), channel.backends().end());
-  // Before the swap everyone served; after it, non-subset machines froze.
-  for (size_t s = 0; s < servers.size(); ++s) {
-    EXPECT_GT(served_at_swap[s], 0u) << s;
-    if (!subset.contains(backends[s])) {
-      EXPECT_EQ(servers[s]->requests_served(), served_at_swap[s]) << s;
-    }
-  }
-}
-
 TEST_F(ChannelTest, RetryBackoffIsJitteredExponential) {
   // Call an empty machine with retries; measure total time across attempts.
   CallOptions opts;

@@ -17,7 +17,7 @@ constexpr MethodId kFail = 2;
 
 class ColocatedTest : public ::testing::Test {
  protected:
-  explicit ColocatedTest(RpcSystemOptions options = MakeOptions()) : system_(options) {
+  ColocatedTest() : system_(MakeOptions()) {
     local_machine_ = system_.topology().MachineAt(0, 0);
     remote_machine_ = system_.topology().MachineAt(0, 1);
     local_server_ = std::make_unique<Server>(&system_, local_machine_, ServerOptions{});
@@ -146,82 +146,6 @@ TEST_F(ColocatedTest, ErrorsPropagateOnTheFastPath) {
   system_.sim().Run();
   EXPECT_EQ(got.status.code(), StatusCode::kNotFound);
   EXPECT_EQ(client_->colocated_calls(), 1u);
-}
-
-// Policy plane gating (docs/POLICY.md): MethodPolicy::colocated_bypass
-// overrides the client's constructor-time default in either direction.
-class ColocatedPolicyOffTest : public ColocatedTest {
- protected:
-  ColocatedPolicyOffTest() : ColocatedTest(MakePolicyOffOptions()) {}
-
-  static RpcSystemOptions MakePolicyOffOptions() {
-    RpcSystemOptions o = MakeOptions();
-    MethodPolicy off;
-    off.colocated_bypass = 0;
-    o.policy.initial.SetOverride(7, -1, off);
-    return o;
-  }
-};
-
-TEST_F(ColocatedPolicyOffTest, PolicyDisablesBypassPerService) {
-  CallOptions gated;
-  gated.service_id = 7;
-  CallResult got_gated;
-  client_->Call(local_machine_, kEcho, Payload::Modeled(512), gated,
-                [&](const CallResult& result, Payload) { got_gated = result; });
-  system_.sim().Run();
-  ASSERT_TRUE(got_gated.status.ok());
-  // Service 7 is policy-forced onto the wire even though the client enables
-  // the bypass and the target is local.
-  EXPECT_EQ(client_->colocated_calls(), 0u);
-  EXPECT_GT(system_.tracer().spans().back().request_wire_bytes, 0);
-
-  // Other services still inherit the client's constructor default.
-  CallResult got_free;
-  client_->Call(local_machine_, kEcho, Payload::Modeled(512), {},
-                [&](const CallResult& result, Payload) { got_free = result; });
-  system_.sim().Run();
-  ASSERT_TRUE(got_free.status.ok());
-  EXPECT_EQ(client_->colocated_calls(), 1u);
-}
-
-class ColocatedPolicyOnTest : public ::testing::Test {
- protected:
-  ColocatedPolicyOnTest() : system_(MakeOptions()) {
-    machine_ = system_.topology().MachineAt(0, 0);
-    server_ = std::make_unique<Server>(&system_, machine_, ServerOptions{});
-    server_->RegisterMethod(kEcho, "Echo", [](std::shared_ptr<ServerCall> call) {
-      call->Compute(Micros(50), [call]() {
-        call->Finish(Status::Ok(), Payload::Modeled(64));
-      });
-    });
-    // Constructor default off: only the policy plane turns the bypass on.
-    client_ = std::make_unique<Client>(&system_, machine_);
-  }
-
-  static RpcSystemOptions MakeOptions() {
-    RpcSystemOptions o;
-    o.fabric.congestion_probability = 0;
-    MethodPolicy on;
-    on.colocated_bypass = 1;
-    o.policy.initial.defaults = on;
-    return o;
-  }
-
-  RpcSystem system_;
-  MachineId machine_ = 0;
-  std::unique_ptr<Server> server_;
-  std::unique_ptr<Client> client_;
-};
-
-TEST_F(ColocatedPolicyOnTest, PolicyEnablesBypassOverClientDefault) {
-  CallResult got;
-  client_->Call(machine_, kEcho, Payload::Modeled(256), {},
-                [&](const CallResult& result, Payload) { got = result; });
-  system_.sim().Run();
-  ASSERT_TRUE(got.status.ok());
-  EXPECT_EQ(client_->colocated_calls(), 1u);
-  EXPECT_TRUE(system_.tracer().spans().back().colocated);
 }
 
 }  // namespace

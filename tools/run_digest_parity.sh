@@ -8,6 +8,8 @@
 #   - fleet_study --policy-rollout=demo --colocate (the colocated fast path);
 #   - fleet_study with no flags (its catalog-scan mode);
 #   - examples/offload_whatif 10 (every tax profile over the catalog);
+#   - examples/chaos_study at CI's seeds 1 and 7, the only program that
+#     builds a Channel (picks, outlier ejection, the channel's call defaults);
 #   - the stdout of all 23 figure rows, Table 1 included: the scan-fed ones
 #     (FleetSampler draws, the scan and the analyzers), the RunServiceStudy
 #     ones (fig14 to fig19: the single-domain DES, its arrival processes and
@@ -67,7 +69,7 @@ has_driver() {
 # build <source-dir> <build-dir>
 build() {
   echo "building $1 (Release) ..."
-  local targets=(fleet_study offload_whatif "${BENCH_BINS[@]}")
+  local targets=(fleet_study offload_whatif chaos_study "${BENCH_BINS[@]}")
   if has_driver "$1"; then
     targets+=(rpcscope_figures)
   else
@@ -104,6 +106,10 @@ run_outputs() {
     echo "exit=$?" >>policy_rollout_colocate.txt
   "$bin/examples/fleet_study" >fleet_scan.txt 2>&1 || echo "exit=$?" >>fleet_scan.txt
   "$bin/examples/offload_whatif" 10 >offload_whatif.txt 2>&1 || echo "exit=$?" >>offload_whatif.txt
+  for seed in 1 7; do
+    "$bin/examples/chaos_study" "$seed" >"chaos_study-seed$seed.txt" 2>&1 ||
+      echo "exit=$?" >>"chaos_study-seed$seed.txt"
+  done
   for fig in "${FIGURES[@]}"; do
     if has_driver "$src"; then
       "$bin/bench/rpcscope_figures" --fig="$fig" >"$fig.txt" 2>&1 || echo "exit=$?" >>"$fig.txt"
