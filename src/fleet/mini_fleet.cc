@@ -208,7 +208,7 @@ void ChildCall(MiniFleetDeployment& caller, const std::shared_ptr<ServerCall>& p
 void Serve(MiniFleetDeployment* d, const std::shared_ptr<ServerCall>& call) {
   const int fanout = d->spec->fanout;
   if (fanout > 0) {
-    auto pending = std::make_shared<int>(fanout);
+    auto pending = MakePooledShared<int>(fanout);
     for (int i = 0; i < fanout; ++i) {
       ChildCall(*d, call, [d, call, pending](const CallResult&, Payload) {
         if (--*pending == 0) {

@@ -244,7 +244,7 @@ ServiceStudyResult RunServiceStudy(const ServiceStudyConfig& config,
 }
 
 void ServeStudyCall(const ServiceStudyConfig& config, Rng& rng,
-                    const std::shared_ptr<ServerCall>& call, std::function<void()> then) {
+                    const std::shared_ptr<ServerCall>& call, SimCallback then) {
   double app_us;
   if (config.fast_weight > 0 && rng.NextBool(config.fast_weight)) {
     app_us = rng.NextLognormal(std::log(config.fast_median_us), 0.4);

@@ -24,13 +24,13 @@
 #define RPCSCOPE_SRC_FLEET_SERVICE_STUDY_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/fleet/service_catalog.h"
 #include "src/rpc/rpc_system.h"
+#include "src/sim/callback.h"
 #include "src/trace/span.h"
 
 namespace rpcscope {
@@ -109,8 +109,7 @@ ServiceStudyResult RunServiceStudy(const ServiceStudyConfig& config,
 // NOT_FOUND with 64 bytes. A successful one computes the app time, then runs
 // `then`, which must finish the call (default: OK with response_bytes).
 void ServeStudyCall(const ServiceStudyConfig& config, Rng& rng,
-                    const std::shared_ptr<ServerCall>& call,
-                    std::function<void()> then = nullptr);
+                    const std::shared_ptr<ServerCall>& call, SimCallback then = nullptr);
 
 }  // namespace rpcscope
 

@@ -57,13 +57,14 @@ void Fabric::Send(MachineId src, MachineId dst, int64_t bytes, Delivery on_deliv
       RPCSCOPE_CHECK_GE(latency, lookahead_->At(home_->id(), remote->id()))
           << "cross-domain frame undercuts the conservative lookahead";
       home_->PostRemote(remote->id(), AddClamped(sim_->Now(), latency),
-                        [latency, done = std::move(on_delivered)]() { done(latency); });
+                        [latency, done = std::move(on_delivered)]() mutable { done(latency); });
       return;
     }
   }
-  sim_->Schedule(latency, [latency, done = std::move(on_delivered)]() { done(latency); });
+  sim_->Schedule(latency, [latency, done = std::move(on_delivered)]() mutable { done(latency); });
 }
 
+// NOLINTNEXTLINE(rpcscope-function-hotpath) resolver: built once, then only called
 void Fabric::BindDomain(SimDomain* home, std::function<SimDomain*(MachineId)> resolver,
                         const LookaheadMatrix* lookahead) {
   RPCSCOPE_CHECK(home != nullptr);

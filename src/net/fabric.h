@@ -16,6 +16,7 @@
 #include "src/common/rng.h"
 #include "src/common/time.h"
 #include "src/net/topology.h"
+#include "src/sim/callback.h"
 #include "src/sim/domain.h"
 #include "src/sim/lookahead.h"
 #include "src/sim/simulator.h"
@@ -53,7 +54,7 @@ class FabricInterceptor {
 // RPCSCOPE_CHECKPOINTED(CheckpointTo, RestoreFrom)
 class Fabric {
  public:
-  using Delivery = std::function<void(SimDuration wire_latency)>;
+  using Delivery = SimFunction<void(SimDuration wire_latency)>;
 
   Fabric(Simulator* sim, const Topology* topology, const FabricOptions& options);
 
@@ -77,6 +78,7 @@ class Fabric {
   // propagation is bounded below by the topology and serialization/congestion
   // only add). The matrix must be sized so that every domain the resolver can
   // return is in range, and must outlive the fabric.
+  // NOLINTNEXTLINE(rpcscope-function-hotpath) resolver: built once, then only called
   void BindDomain(SimDomain* home, std::function<SimDomain*(MachineId)> resolver,
                   const LookaheadMatrix* lookahead);
 
@@ -106,6 +108,7 @@ class Fabric {
   FabricOptions options_;
   Rng rng_;
   SimDomain* home_ = nullptr;     // NOLINT(detan-checkpoint-field) structural
+  // NOLINTNEXTLINE(rpcscope-function-hotpath) built once by BindDomain
   std::function<SimDomain*(MachineId)> domain_resolver_;  // NOLINT(detan-checkpoint-field) structural
   const LookaheadMatrix* lookahead_ = nullptr;    // NOLINT(detan-checkpoint-field) structural
   FabricInterceptor* interceptor_ = nullptr;      // NOLINT(detan-checkpoint-field) structural

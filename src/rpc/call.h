@@ -12,6 +12,7 @@
 #include "src/rpc/codec.h"
 #include "src/rpc/cost_model.h"
 #include "src/rpc/payload.h"
+#include "src/sim/callback.h"
 #include "src/trace/span.h"
 
 namespace rpcscope {
@@ -63,7 +64,9 @@ struct CallOptions {
   // recorded, with the attempt's own target, status, and latency. Channel
   // sets this for outlier ejection: the *call* outcome can't attribute health
   // (a hedge that rescues a call must not launder the primary backend's
-  // failure into a success sample). Hedge losers report kCancelled.
+  // failure into a success sample). Hedge losers report kCancelled. Copied
+  // with the options and set only by Channel, so it stays a std::function.
+  // NOLINTNEXTLINE(rpcscope-function-hotpath)
   std::function<void(MachineId target, StatusCode code, SimDuration latency)>
       attempt_observer;
 };
@@ -79,7 +82,7 @@ struct CallResult {
   SpanId span_id = 0;  // Span of the winning attempt.
 };
 
-using CallCallback = std::function<void(const CallResult& result, Payload response)>;
+using CallCallback = SimFunction<void(const CallResult& result, Payload response)>;
 
 // Server-side phase durations reported back with every reply. The response
 // travels as an encoded WireFrame; the client decodes it on its receive path.
@@ -103,7 +106,7 @@ struct ServerReply {
   Payload local_response;
 };
 
-using ServerResponder = std::function<void(ServerReply reply)>;
+using ServerResponder = SimFunction<void(ServerReply reply)>;
 
 // A request as delivered to a server by the fabric (still encoded; the
 // server's receive pipeline decodes it).

@@ -282,7 +282,7 @@ void Channel::Call(MethodId method, Payload request, CallOptions options, CallCa
   };
   client_->Call(backends_[index], method, std::move(request), options,
                 [this, index, done = std::move(done)](const CallResult& result,
-                                                      Payload response) {
+                                                      Payload response) mutable {
                   --outstanding_[index];
                   done(result, std::move(response));
                 });

@@ -103,7 +103,7 @@ void Client::CountCompletion(StatusCode code) {
 void Client::Call(MachineId target, MethodId method, Payload request, const CallOptions& options,
                   CallCallback done) {
   ++calls_issued_;
-  auto st = std::make_shared<CallState>();
+  auto st = MakePooledShared<CallState>();
   st->options = options;
   st->done = std::move(done);
   st->primary_target = target;
@@ -189,7 +189,7 @@ void Client::Call(MachineId target, MethodId method, Payload request, const Call
 }
 
 void Client::StartAttempt(std::shared_ptr<CallState> st, MachineId target) {
-  auto att = std::make_shared<Attempt>();
+  auto att = MakePooledShared<Attempt>();
   att->span_id = shard_->tracer.NewSpanId();
   att->target = target;
   att->start = shard_->sim().Now();

@@ -36,7 +36,7 @@ CallOptions ServerCall::ChildOptions() const {
   return options;
 }
 
-void ServerCall::Compute(SimDuration duration, std::function<void()> then) {
+void ServerCall::Compute(SimDuration duration, SimCallback then) {
   // Nominal work takes longer under exogenous slowdown and on slower machines.
   const double scale = server_->options().app_speed_factor / server_->machine_speed();
   const SimDuration scaled =
@@ -181,7 +181,7 @@ void Server::Restart() {
 }
 
 void Server::DeliverRequest(IncomingRequest request) {
-  auto fl = std::make_shared<InflightCall>();
+  auto fl = MakePooledShared<InflightCall>();
   fl->req = std::move(request);
   RegisterInflight(fl);
   const CycleCostModel& costs = system_->costs();
@@ -261,7 +261,7 @@ void Server::DeliverRequest(IncomingRequest request) {
           }
           request_payload = std::move(decoded.value());
         }
-        auto call = std::make_shared<ServerCall>();
+        auto call = MakePooledShared<ServerCall>();
         call->server_ = this;
         call->request_ = std::move(request_payload);
         call->method_ = fl->req.method;

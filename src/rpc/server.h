@@ -62,7 +62,7 @@ class ServerCall {
 
   // Performs `duration` of virtual application work, then invokes `then`.
   // The application worker remains held throughout.
-  void Compute(SimDuration duration, std::function<void()> then);
+  void Compute(SimDuration duration, SimCallback then);
 
   // Completes the call. Consumes the context's one completion; a second
   // Finish() is a handler bug and fails a CHECK in every build type.
@@ -91,10 +91,14 @@ class ServerCall {
   std::shared_ptr<ServerCall> self_;
 };
 
+// Registered once per method and only called afterwards.
+// NOLINTNEXTLINE(rpcscope-function-hotpath)
 using MethodHandler = std::function<void(std::shared_ptr<ServerCall> call)>;
 
 // Maps an incoming request to a scheduling priority class (0 = high runs
-// first, >0 = low). The default treats all requests equally (FIFO).
+// first, >0 = low). The default treats all requests equally (FIFO). Set
+// once with the server's options.
+// NOLINTNEXTLINE(rpcscope-function-hotpath)
 using RequestPriorityFn = std::function<int(const IncomingRequest&)>;
 
 struct ServerOptions {

@@ -39,6 +39,9 @@ struct SimEvent {
   uint64_t seq = 0;
   SimCallback fn;
 };
+// Buckets, the side heap and the overflow heap all move whole events: keep
+// one at (time, seq) plus the 64-byte callback.
+static_assert(sizeof(SimEvent) == 80, "SimEvent grew: every queued event costs more to move");
 
 namespace event_queue_internal {
 

@@ -34,13 +34,55 @@ SimDuration ServerResource::busy_time() {
   return busy_time_;
 }
 
+void ServerResource::JobRing::push_back(Job job) {
+  if (size_ == slots_.size()) {
+    // Grow by doubling, unrolling the ring into the front of the new slots.
+    std::vector<Job> grown(slots_.empty() ? 8 : 2 * slots_.size());
+    for (size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_.swap(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(job);
+  ++size_;
+}
+
+ServerResource::Job ServerResource::JobRing::pop_front() {
+  RPCSCOPE_DCHECK(size_ > 0) << "pop from an empty run queue";
+  Job job = std::move(slots_[head_]);
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --size_;
+  return job;
+}
+
+void ServerResource::JobRing::clear() {
+  for (; size_ > 0; --size_) {
+    slots_[head_].done = nullptr;
+    head_ = (head_ + 1) & (slots_.size() - 1);
+  }
+}
+
 void ServerResource::AcquireWithPriority(int priority, Grant on_grant) {
+  Enqueue(priority, kHeld,
+          [grant = std::move(on_grant)](SimDuration queue_delay, SimDuration) mutable {
+            grant(queue_delay);
+          });
+}
+
+void ServerResource::Submit(SimDuration service_time, Completion done) {
+  const SimDuration scaled =
+      static_cast<SimDuration>(std::llround(static_cast<double>(service_time) * speed_factor_));
+  Enqueue(0, scaled, std::move(done));
+}
+
+void ServerResource::Enqueue(int priority, SimDuration service_time, Completion done) {
   if (WouldReject()) {
     ++jobs_rejected_;
-    on_grant(kRejected);
+    done(kRejected, 0);
     return;
   }
-  Job job{sim_->Now(), std::move(on_grant)};
+  Job job{sim_->Now(), service_time, std::move(done)};
   if (busy_workers_ < options_.workers) {
     GrantJob(std::move(job));
   } else {
@@ -56,7 +98,21 @@ void ServerResource::GrantJob(Job job) {
   ++busy_workers_;
   const SimDuration queue_delay = sim_->Now() - job.enqueue_time;
   RPCSCOPE_CHECK_GE(queue_delay, 0) << "job granted before it was enqueued";
-  job.on_grant(queue_delay);
+  if (job.service_time == kHeld) {
+    job.done(queue_delay, 0);
+    return;
+  }
+  const uint64_t epoch = epoch_;
+  sim_->Schedule(job.service_time, [this, epoch, queue_delay, service = job.service_time,
+                                    done = std::move(job.done)]() mutable {
+    // A Reset() (machine crash) between grant and completion freed this
+    // worker already; the job it was running died with the machine.
+    if (epoch != epoch_) {
+      return;
+    }
+    Release();
+    done(queue_delay, service);
+  });
 }
 
 void ServerResource::Release() {
@@ -64,11 +120,9 @@ void ServerResource::Release() {
   UpdateBusyTime();
   --busy_workers_;
   ++jobs_completed_;
-  std::deque<Job>& next_queue = !queue_.empty() ? queue_ : low_queue_;
+  JobRing& next_queue = !queue_.empty() ? queue_ : low_queue_;
   if (!next_queue.empty() && busy_workers_ < options_.workers) {
-    Job next = std::move(next_queue.front());
-    next_queue.pop_front();
-    GrantJob(std::move(next));
+    GrantJob(next_queue.pop_front());
   }
 }
 
@@ -79,27 +133,6 @@ void ServerResource::Reset() {
   low_queue_.clear();
   busy_workers_ = 0;
   ++epoch_;
-}
-
-void ServerResource::Submit(SimDuration service_time, Completion done) {
-  const SimDuration scaled =
-      static_cast<SimDuration>(std::llround(static_cast<double>(service_time) * speed_factor_));
-  Acquire([this, scaled, done = std::move(done)](SimDuration queue_delay) mutable {
-    if (queue_delay == kRejected) {
-      done(kRejected, 0);
-      return;
-    }
-    const uint64_t epoch = epoch_;
-    sim_->Schedule(scaled, [this, epoch, queue_delay, scaled, done = std::move(done)]() {
-      // A Reset() (machine crash) between grant and completion freed this
-      // worker already; the job it was running died with the machine.
-      if (epoch != epoch_) {
-        return;
-      }
-      Release();
-      done(queue_delay, scaled);
-    });
-  });
 }
 
 Status ServerResource::CheckpointTo(CheckpointWriter& w) const {

@@ -9,10 +9,11 @@
 #define RPCSCOPE_SRC_SIM_SERVER_RESOURCE_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <limits>
+#include <vector>
 
 #include "src/common/time.h"
+#include "src/sim/callback.h"
 #include "src/sim/simulator.h"
 
 namespace rpcscope {
@@ -24,7 +25,7 @@ class CheckpointReader;
 class ServerResource {
  public:
   // Completion callback: (queue_delay, service_time) in virtual time.
-  using Completion = std::function<void(SimDuration queue_delay, SimDuration service_time)>;
+  using Completion = SimFunction<void(SimDuration queue_delay, SimDuration service_time)>;
 
   struct Options {
     int workers = 4;
@@ -47,7 +48,7 @@ class ServerResource {
   // holds one for its full — possibly dynamically determined — duration).
   // On overload, on_grant fires immediately with kRejected and no worker is
   // held (do not call Release()).
-  using Grant = std::function<void(SimDuration queue_delay)>;
+  using Grant = SimFunction<void(SimDuration queue_delay)>;
   void Acquire(Grant on_grant) { AcquireWithPriority(0, std::move(on_grant)); }
   // Priority scheduling (Shinjuku/Caladan-style short-job isolation, §5.2):
   // lower `priority` runs first; FIFO within a priority class. Only classes
@@ -97,11 +98,36 @@ class ServerResource {
   [[nodiscard]] Status RestoreFrom(CheckpointReader& r);
 
  private:
+  // service_time of a job that holds its worker until Release() (Acquire).
+  static constexpr SimDuration kHeld = std::numeric_limits<SimDuration>::min();
+
+  // A queued Submit() or Acquire(). Both carry one Completion: Submit's is
+  // queued as is, without a wrapping closure, and AcquireWithPriority adapts
+  // its Grant into one.
   struct Job {
-    SimTime enqueue_time;
-    Grant on_grant;
+    SimTime enqueue_time = 0;
+    SimDuration service_time = kHeld;
+    Completion done;
   };
 
+  // FIFO run queue over a power-of-two ring that keeps its capacity, so once
+  // the deepest backlog has been seen queueing never allocates.
+  class JobRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    void push_back(Job job);
+    Job pop_front();
+    // Destroys every queued job's callback without invoking it.
+    void clear();
+
+   private:
+    std::vector<Job> slots_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
+  void Enqueue(int priority, SimDuration service_time, Completion done);
   void GrantJob(Job job);
   size_t QueuedJobs() const { return queue_.size() + low_queue_.size(); }
 
@@ -109,8 +135,8 @@ class ServerResource {
   Options options_;
   double speed_factor_ = 1.0;
   int busy_workers_ = 0;
-  std::deque<Job> queue_;      // Priority class 0 (default).
-  std::deque<Job> low_queue_;  // Priority classes > 0.
+  JobRing queue_;      // Priority class 0 (default).
+  JobRing low_queue_;  // Priority classes > 0.
   uint64_t jobs_completed_ = 0;
   uint64_t jobs_rejected_ = 0;
   uint64_t jobs_dropped_ = 0;

@@ -144,6 +144,27 @@ TEST(LintSelfTest, SerializeHotpathRuleDoesNotApplyOutsideSrc) {
   EXPECT_TRUE(findings.empty());
 }
 
+TEST(LintSelfTest, FunctionHotpathRule) {
+  const auto findings =
+      LintFile("src/rpc/function_hotpath.cc", ReadFixture("function_hotpath.cc"), {});
+  EXPECT_EQ(Summarize(findings), (std::vector<std::pair<int, std::string>>{
+                                     {9, "rpcscope-function-hotpath"},
+                                     {11, "rpcscope-function-hotpath"},
+                                     {12, "rpcscope-function-hotpath"},
+                                 }));
+}
+
+TEST(LintSelfTest, FunctionHotpathRuleDoesNotApplyOutsideTheRpcPath) {
+  // Tests and benches keep std::function, and so do the layers whose
+  // callables are built once (the executor, the fleet drivers).
+  const std::string fixture = ReadFixture("function_hotpath.cc");
+  for (const char* path : {"tests/rpc/function_hotpath.cc", "bench/function_hotpath.cc",
+                           "src/sim/parallel/function_hotpath.cc",
+                           "src/fleet/function_hotpath.cc"}) {
+    EXPECT_TRUE(LintFile(path, fixture, {}).empty()) << path;
+  }
+}
+
 TEST(LintSelfTest, RawThreadRuleMovedToDetan) {
   // rpcscope-raw-thread is now flow-aware and lives in rpcscope_detan (see
   // detan_selftest.cc); the regex linter must not double-report it.

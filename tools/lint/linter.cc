@@ -85,6 +85,9 @@ std::vector<analysis::RuleDoc> Rules() {
        "assert() in library code (src/); use RPCSCOPE_CHECK or RPCSCOPE_DCHECK"},
       {"rpcscope-serialize-hotpath",
        "allocating Message::Serialize() on the wire path; use SerializeTo()"},
+      {"rpcscope-function-hotpath",
+       "std::function on the per-RPC path (src/sim outside parallel/, src/net, src/rpc); "
+       "use SimFunction"},
       {kUnusedNolint,
        "a NOLINT naming a lint rule that suppressed nothing (enabled by --fail-on-unused)"},
   };
@@ -124,6 +127,9 @@ std::vector<Finding> LintFile(const std::string& rel_path, const std::string& co
                                   StartsWith(rel_path, "src/net/") ||
                                   StartsWith(rel_path, "src/fault/") ||
                                   StartsWith(rel_path, "src/fleet/");
+  const bool rpc_path_layer =
+      (StartsWith(rel_path, "src/sim/") && !StartsWith(rel_path, "src/sim/parallel/")) ||
+      StartsWith(rel_path, "src/net/") || StartsWith(rel_path, "src/rpc/");
   const bool fallible_api_layer = StartsWith(rel_path, "src/rpc/") ||
                                   StartsWith(rel_path, "src/fault/") ||
                                   StartsWith(rel_path, "src/wire/") ||
@@ -285,6 +291,21 @@ std::vector<Finding> LintFile(const std::string& rel_path, const std::string& co
         add(i, "rpcscope-serialize-hotpath",
             "vector-returning Serialize() allocates per message on the wire path; "
             "use SerializeTo() with a reused buffer (see docs/PERF.md)");
+      }
+    }
+  }
+
+  // --- rpcscope-function-hotpath --------------------------------------------
+  if (rpc_path_layer) {
+    // Comments and string literals are already stripped, so only code
+    // mentions match; <functional> itself does not.
+    static const std::regex kStdFunction(R"(\bstd\s*::\s*function\b)");
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (std::regex_search(lines[i], kStdFunction)) {
+        add(i, "rpcscope-function-hotpath",
+            "std::function heap-allocates captures past 16 bytes; per-hop callbacks on the "
+            "RPC path use SimFunction (src/sim/callback.h) — a callable built once and only "
+            "called afterwards needs a NOLINT saying so");
       }
     }
   }

@@ -26,6 +26,11 @@
 //                              SerializeTo() into a reused buffer
 //                              (docs/PERF.md); the allocating form is for
 //                              tests and tools only.
+//   rpcscope-function-hotpath  std::function in src/sim (outside
+//                              src/sim/parallel), src/net, src/rpc — the
+//                              per-RPC path, whose callbacks are the
+//                              move-only pooled SimFunction (docs/PERF.md);
+//                              a built-once use carries a NOLINT saying why.
 //   rpcscope-unused-nolint     a NOLINT naming one of the rules above that
 //                              suppressed nothing (opt-in via
 //                              --fail-on-unused; CI enables it).
