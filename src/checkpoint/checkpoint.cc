@@ -74,17 +74,20 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-// Writes `bytes` to `path` through `path + ".part"` + rename, so a crash
-// mid-write leaves no file under the final name.
-Status WriteFileAtomic(const std::string& path, const std::vector<uint8_t>& bytes) {
+// Writes the concatenation of `segments` to `path` through `path + ".part"`
+// + rename, so a crash mid-write leaves no file under the final name.
+Status WriteFileAtomic(const std::string& path,
+                       const std::vector<std::vector<uint8_t>>& segments) {
   const std::string tmp = path + ".part";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
       return InternalError("cannot create " + tmp);
     }
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    for (const std::vector<uint8_t>& segment : segments) {
+      out.write(reinterpret_cast<const char*>(segment.data()),
+                static_cast<std::streamsize>(segment.size()));
+    }
     if (!out) {
       return InternalError("write failed on " + tmp);
     }
@@ -103,44 +106,66 @@ Status WriteFileAtomic(const std::string& path, const std::vector<uint8_t>& byte
 // CheckpointWriter
 // ---------------------------------------------------------------------------
 
-CheckpointWriter::CheckpointWriter() {
-  AppendU32(buffer_, kCheckpointMagic);
-  AppendU32(buffer_, kCheckpointFormatVersion);
+CheckpointWriter::CheckpointWriter() : segments_(1) {
+  std::vector<uint8_t>& header = segments_.back();
+  AppendU32(header, kCheckpointMagic);
+  AppendU32(header, kCheckpointFormatVersion);
+  file_crc_ = Crc32c(header);
 }
 
 void CheckpointWriter::BeginSection(std::string_view name) {
   RPCSCOPE_CHECK(!in_section_) << "BeginSection(" << std::string(name)
                                << ") inside an open section";
   in_section_ = true;
-  AppendU32(buffer_, static_cast<uint32_t>(name.size()));
-  buffer_.insert(buffer_.end(), name.begin(), name.end());
-  section_length_slot_ = buffer_.size();
-  AppendU64(buffer_, 0);  // Patched in EndSection.
-  section_payload_start_ = buffer_.size();
+  std::vector<uint8_t>& tail = segments_.back();
+  frame_segment_ = segments_.size() - 1;
+  frame_start_ = tail.size();
+  AppendU32(tail, static_cast<uint32_t>(name.size()));
+  tail.insert(tail.end(), name.begin(), name.end());
+  length_slot_ = tail.size();
+  AppendU64(tail, 0);  // Patched in EndSection.
+  pending_payload_ = tail.size();
+  payload_size_ = 0;
+  section_crc_ = 0;
+}
+
+void CheckpointWriter::HashPendingPayload() {
+  const std::vector<uint8_t>& tail = segments_.back();
+  const size_t pending = tail.size() - pending_payload_;
+  section_crc_ = Crc32cExtend(section_crc_, tail.data() + pending_payload_, pending);
+  payload_size_ += pending;
+  pending_payload_ = tail.size();
 }
 
 void CheckpointWriter::EndSection() {
   RPCSCOPE_CHECK(in_section_) << "EndSection without BeginSection";
   in_section_ = false;
-  const size_t payload_len = buffer_.size() - section_payload_start_;
-  PatchU64(buffer_, section_length_slot_, payload_len);
-  const uint32_t crc = Crc32c(buffer_.data() + section_payload_start_, payload_len);
-  AppendU32(buffer_, crc);
+  HashPendingPayload();
+  // The file CRC covers the frame, then the payload (combined, not re-read),
+  // then the section CRC.
+  std::vector<uint8_t>& frame = segments_[frame_segment_];
+  PatchU64(frame, length_slot_, payload_size_);
+  file_crc_ = Crc32cExtend(file_crc_, frame.data() + frame_start_,
+                           length_slot_ + 8 - frame_start_);
+  file_crc_ = Crc32cCombine(file_crc_, section_crc_, payload_size_);
+  std::vector<uint8_t>& tail = segments_.back();
+  AppendU32(tail, section_crc_);
+  file_crc_ = Crc32cExtend(file_crc_, tail.data() + tail.size() - 4, 4);
 }
 
 void CheckpointWriter::WriteU8(uint8_t v) {
   RPCSCOPE_DCHECK(in_section_);
-  buffer_.push_back(v);
+  segments_.back().push_back(v);
 }
 
 void CheckpointWriter::WriteU32(uint32_t v) {
   RPCSCOPE_DCHECK(in_section_);
-  AppendU32(buffer_, v);
+  AppendU32(segments_.back(), v);
 }
 
 void CheckpointWriter::WriteU64(uint64_t v) {
   RPCSCOPE_DCHECK(in_section_);
-  AppendU64(buffer_, v);
+  AppendU64(segments_.back(), v);
 }
 
 void CheckpointWriter::WriteI64(int64_t v) { WriteU64(static_cast<uint64_t>(v)); }
@@ -156,25 +181,53 @@ void CheckpointWriter::WriteDouble(double v) {
 
 void CheckpointWriter::WriteString(std::string_view s) {
   WriteU32(static_cast<uint32_t>(s.size()));
-  buffer_.insert(buffer_.end(), s.begin(), s.end());
+  segments_.back().insert(segments_.back().end(), s.begin(), s.end());
 }
 
-void CheckpointWriter::WriteBytes(const std::vector<uint8_t>& bytes) { WriteBytes(bytes, {}); }
+void CheckpointWriter::WriteBytes(const std::vector<uint8_t>& bytes) {
+  WriteU32(static_cast<uint32_t>(bytes.size()));
+  segments_.back().insert(segments_.back().end(), bytes.begin(), bytes.end());
+}
 
 void CheckpointWriter::WriteBytes(const std::vector<uint8_t>& head,
-                                  const std::vector<uint8_t>& tail) {
-  WriteU32(static_cast<uint32_t>(head.size() + tail.size()));
-  buffer_.insert(buffer_.end(), head.begin(), head.end());
-  buffer_.insert(buffer_.end(), tail.begin(), tail.end());
+                                  const ChecksummedBytes& tail) {
+  const std::vector<uint8_t>& records = tail.bytes();
+  WriteU32(static_cast<uint32_t>(head.size() + records.size()));
+  segments_.back().insert(segments_.back().end(), head.begin(), head.end());
+  HashPendingPayload();
+  section_crc_ = Crc32cCombine(section_crc_, tail.crc32c(), records.size());
+  payload_size_ += records.size();
+  segments_.push_back(records);
+  segments_.emplace_back();
+  pending_payload_ = 0;
 }
 
-const std::vector<uint8_t>& CheckpointWriter::buffer() const {
-  RPCSCOPE_CHECK(!in_section_) << "buffer() inside an open section";
-  return buffer_;
+std::vector<uint8_t> CheckpointWriter::buffer() const {
+  std::vector<uint8_t> image;
+  image.reserve(size());
+  for (const std::vector<uint8_t>& segment : segments_) {
+    image.insert(image.end(), segment.begin(), segment.end());
+  }
+  return image;
+}
+
+uint64_t CheckpointWriter::size() const {
+  RPCSCOPE_CHECK(!in_section_) << "image read inside an open section";
+  uint64_t total = 0;
+  for (const std::vector<uint8_t>& segment : segments_) {
+    total += segment.size();
+  }
+  return total;
+}
+
+uint32_t CheckpointWriter::crc32c() const {
+  RPCSCOPE_CHECK(!in_section_) << "image read inside an open section";
+  return file_crc_;
 }
 
 Status CheckpointWriter::Commit(const std::string& path) const {
-  return WriteFileAtomic(path, buffer());
+  RPCSCOPE_CHECK(!in_section_) << "Commit inside an open section";
+  return WriteFileAtomic(path, segments_);
 }
 
 // ---------------------------------------------------------------------------
@@ -498,14 +551,13 @@ Status CheckpointSet::AddFile(const std::string& name, const CheckpointWriter& c
   if (ec) {
     return InternalError("cannot create " + staging_dir_ + ": " + ec.message());
   }
-  const std::vector<uint8_t>& bytes = contents.buffer();
-  if (Status s = WriteFileAtomic(JoinPath(staging_dir_, name), bytes); !s.ok()) {
+  if (Status s = contents.Commit(JoinPath(staging_dir_, name)); !s.ok()) {
     return s;
   }
   CheckpointFileEntry entry;
   entry.name = name;
-  entry.size = bytes.size();
-  entry.crc32c = Crc32c(bytes);
+  entry.size = contents.size();
+  entry.crc32c = contents.crc32c();
   manifest_.files.push_back(std::move(entry));
   return Status::Ok();
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/wire/checksum.h"
 
 namespace rpcscope {
 
@@ -42,13 +43,18 @@ inline constexpr uint32_t kCheckpointMagic = 0x54504b43;  // "CKPT" little-endia
 // service-keyed overrides.
 inline constexpr uint32_t kCheckpointFormatVersion = 4;
 
-// Serializes state into an in-memory, section-framed buffer and commits it to
+// Serializes state into an in-memory, section-framed image and commits it to
 // disk atomically. All scalars are little-endian fixed width; doubles are
 // IEEE-754 bit patterns (bit-exact round trip — checkpoints must restore the
 // run, not an approximation of it).
 //
 // Usage: BeginSection("sim"); Write...; EndSection(); ...; Commit(path).
 // Writes outside a section are a caller bug (CHECK).
+//
+// The writer hashes each byte it is given at most once. Section CRCs and the
+// whole-file CRC (crc32c(), the manifest's entry) are built by CRC32C
+// combination, and a ChecksummedBytes field arrives with its CRC, so its
+// bytes are copied once and never hashed here at all.
 class CheckpointWriter {
  public:
   CheckpointWriter();
@@ -64,23 +70,42 @@ class CheckpointWriter {
   void WriteDouble(double v);
   void WriteString(std::string_view s);
   void WriteBytes(const std::vector<uint8_t>& bytes);
-  // The same field as WriteBytes(head + tail), without building the
-  // concatenation (a batch header before cached records).
-  void WriteBytes(const std::vector<uint8_t>& head, const std::vector<uint8_t>& tail);
+  // The same field as WriteBytes(head + tail.bytes()), without building the
+  // concatenation or hashing the tail (a batch header before cached,
+  // checksummed records).
+  void WriteBytes(const std::vector<uint8_t>& head, const ChecksummedBytes& tail);
 
-  // The framed file image (header + completed sections). Must not be inside
-  // an open section.
-  const std::vector<uint8_t>& buffer() const;
+  // A copy of the framed file image (header + completed sections). Must not
+  // be inside an open section.
+  std::vector<uint8_t> buffer() const;
+  // Size and CRC32C of that image, without building it.
+  uint64_t size() const;
+  uint32_t crc32c() const;
 
-  // Writes buffer() to `path` via a temporary file + rename, so readers never
-  // observe a half-written checkpoint file.
+  // Writes the image to `path` via a temporary file + rename, so readers
+  // never observe a half-written checkpoint file.
   [[nodiscard]] Status Commit(const std::string& path) const;
 
  private:
-  std::vector<uint8_t> buffer_;
+  // Folds the open section's payload bytes not yet hashed (the last segment
+  // from pending_payload_ on) into section_crc_.
+  void HashPendingPayload();
+
+  // The image, in order. Fields append to the last segment; each
+  // ChecksummedBytes tail gets a segment of its own, copied in once at its
+  // final size and never appended to, so it never moves.
+  std::vector<std::vector<uint8_t>> segments_;
+  uint32_t file_crc_ = 0;  // CRC32C of the image through the last EndSection.
   bool in_section_ = false;
-  size_t section_payload_start_ = 0;  // First payload byte of the open section.
-  size_t section_length_slot_ = 0;    // Offset of the open section's length field.
+  // The open section's frame (name length, name, payload length) sits in one
+  // segment: its index, the frame's first byte, and the length field that
+  // EndSection patches.
+  size_t frame_segment_ = 0;
+  size_t frame_start_ = 0;
+  size_t length_slot_ = 0;
+  size_t pending_payload_ = 0;
+  uint64_t payload_size_ = 0;  // Payload bytes of the open section in section_crc_.
+  uint32_t section_crc_ = 0;
 };
 
 // Bounds-checked reader over a checkpoint file image. Read errors are sticky:

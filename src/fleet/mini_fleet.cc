@@ -409,10 +409,7 @@ MiniFleetResult MiniFleet::Collect() {
     result.avoided_tax_cycles += metrics.GetCounter("client.avoided_tax_cycles").value();
   }
 
-  // The canonical merge, made once: the replay below aggregates all of it,
-  // and sharded runs then keep its post-warmup part as result.spans.
   const ObservabilityHub& hub = *system_.hub();
-  std::vector<Span> merged = system_.MergedSpans();
   result.streamed_aggregate_digest = hub.AggregateDigest();
   result.exemplar_digest = hub.ExemplarDigest();
   result.spans_streamed = hub.spans_ingested();
@@ -424,21 +421,34 @@ MiniFleetResult MiniFleet::Collect() {
     result.peak_buffered_spans = std::max(result.peak_buffered_spans,
                                           system_.shard(s).stream_sink->peak_buffered_spans());
   }
-  // The reference aggregation: replay the canonical post-run merge through a
-  // fresh hub. Equal aggregate digests prove the barrier-streamed pipeline
-  // lost nothing and double-counted nothing.
-  result.replayed_aggregate_digest =
-      ReplayIntoHub(merged, options_.observability).AggregateDigest();
+  // The reference aggregation: every kept span, folded in record order into
+  // one sink that buffers no exemplars, flushed once into a fresh hub. One
+  // flush hands the hub its windows in ascending order whatever order the
+  // spans came in, so the digest equals ReplayIntoHub(MergedSpans(), ...)'s,
+  // evictions included, without sorting or copying a span. Equal aggregate
+  // digests prove the barrier-streamed pipeline lost nothing and
+  // double-counted nothing.
+  ObservabilityOptions fold_options = options_.observability;
+  fold_options.max_buffered_spans = 0;
+  ShardStreamSink fold(fold_options);
+  for (int s = 0; s < system_.num_shards(); ++s) {
+    for (const Span& span : system_.shard(s).tracer.spans()) {
+      fold.OnSpan(span);
+    }
+  }
+  ObservabilityHub replayed(fold_options);
+  fold.FlushInto(replayed, kMaxSimTime);
+  result.replayed_aggregate_digest = replayed.AggregateDigest();
   if (sharded) {
     // Sorted by start time, so the pre-warmup spans are a prefix.
+    std::vector<Span> merged = system_.MergedSpans();
     merged.erase(merged.begin(),
                  std::partition_point(merged.begin(), merged.end(), [this](const Span& span) {
                    return span.start_time < options_.warmup;
                  }));
     result.spans = std::move(merged);
   } else {
-    // Single-domain runs keep record order. Free the merge before copying.
-    std::vector<Span>().swap(merged);
+    // Single-domain runs keep record order.
     result.spans.reserve(system_.tracer().spans().size());
     for (const Span& span : system_.tracer().spans()) {
       if (span.start_time >= options_.warmup) {

@@ -101,9 +101,11 @@ struct MiniFleetResult {
 
   // Streaming-pipeline fingerprints and counters.
   // streamed_aggregate_digest is the hub's AggregateDigest after the run;
-  // replayed_aggregate_digest re-aggregates MergedSpans() post-run through
-  // ReplayIntoHub. The pipeline's correctness claim is that they are equal —
-  // for every worker_threads value (parallel_test asserts both).
+  // replayed_aggregate_digest is ReplayIntoHub(MergedSpans(), ...)'s, computed
+  // by folding every kept span once, in place, into a fresh sink flushed
+  // once into a fresh hub (no sorted copy). The pipeline's correctness claim
+  // is that they are equal — for every worker_threads value (parallel_test
+  // asserts both) — while the live hub evicts no window (ROADMAP, Known red).
   uint64_t streamed_aggregate_digest = 0;
   uint64_t replayed_aggregate_digest = 0;
   // Reservoir-content digest: worker-count invariant (canonical barrier

@@ -15,10 +15,6 @@ const PolicySnapshot& EmptySnapshot() {
 
 }  // namespace
 
-bool MethodPolicy::IsInherit() const {
-  return max_retries < 0 && retry_backoff < 0 && retry_backoff_cap < 0 && attempt_timeout < 0;
-}
-
 void MethodPolicy::MergeFrom(const MethodPolicy& over) {
   if (over.max_retries >= 0) max_retries = over.max_retries;
   if (over.retry_backoff >= 0) retry_backoff = over.retry_backoff;

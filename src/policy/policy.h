@@ -42,8 +42,6 @@ struct MethodPolicy {
   SimDuration retry_backoff_cap = -1;
   SimDuration attempt_timeout = -1;  // 0 = watchdog off.
 
-  // True when every field is the inherit sentinel.
-  bool IsInherit() const;
   // Overlays `over` onto *this: fields `over` sets (>= 0) win.
   void MergeFrom(const MethodPolicy& over);
   // Folds every field into `digest` (FNV-1a).

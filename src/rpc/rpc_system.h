@@ -203,7 +203,9 @@ class RpcSystem {
   // The streaming aggregation plane, never null. RunSharded feeds it at every
   // round barrier and flushes it once more before returning, so after a run
   // to kMaxSimTime its aggregate state equals ReplayIntoHub(MergedSpans(),
-  // ...) bit-for-bit.
+  // ...) bit-for-bit, as long as it evicted no window: past max_windows a
+  // straggler can re-create an evicted window (ROADMAP, Known red).
+  // MiniFleet::Collect computes that replay's digest by an in-place fold.
   ObservabilityHub* hub() { return hub_.get(); }
   const ObservabilityHub* hub() const { return hub_.get(); }
   // Drains every shard sink into the hub in canonical shard order, then

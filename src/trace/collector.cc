@@ -60,16 +60,18 @@ double TraceCollector::ObservedKeepFraction() const {
 
 void TraceCollector::Clear() {
   spans_.clear();
-  encoded_records_.clear();
+  encoded_records_.Clear();
   encoded_spans_ = 0;
   recorded_ = 0;
   dropped_ = 0;
 }
 
 Status TraceCollector::CheckpointTo(CheckpointWriter& w) const {
-  for (; encoded_spans_ < spans_.size(); ++encoded_spans_) {
-    AppendSpanRecord(encoded_records_, spans_[encoded_spans_]);
-  }
+  encoded_records_.Append([this](std::vector<uint8_t>& records) {
+    for (; encoded_spans_ < spans_.size(); ++encoded_spans_) {
+      AppendSpanRecord(records, spans_[encoded_spans_]);
+    }
+  });
   std::vector<uint8_t> batch_header;
   AppendSpanBatchHeader(batch_header, spans_.size());
   w.BeginSection("trace_collector");
@@ -108,7 +110,7 @@ Status TraceCollector::RestoreFrom(CheckpointReader& r) {
     return spans.status();
   }
   spans_ = std::move(spans).value();
-  encoded_records_.clear();
+  encoded_records_.Clear();
   encoded_spans_ = 0;
   recorded_ = recorded;
   dropped_ = dropped;

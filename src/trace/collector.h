@@ -11,6 +11,7 @@
 
 #include "src/common/status.h"
 #include "src/trace/span.h"
+#include "src/wire/checksum.h"
 
 namespace rpcscope {
 
@@ -63,8 +64,8 @@ class TraceCollector {
   // Checkpoint support: collected spans (as an RSPN codec blob, reusing
   // src/trace/storage.h), the id counter, and keep/drop tallies. Restore
   // re-validates sampling options via the derived threshold and replaces any
-  // existing contents wholesale. CheckpointTo encodes only the spans recorded
-  // since the previous call; the blob is byte-identical to
+  // existing contents wholesale. CheckpointTo encodes and hashes only the
+  // spans recorded since the previous call; the blob is byte-identical to
   // SerializeSpans(spans()).
   [[nodiscard]] Status CheckpointTo(CheckpointWriter& w) const;
   [[nodiscard]] Status RestoreFrom(CheckpointReader& r);
@@ -80,10 +81,11 @@ class TraceCollector {
   uint64_t sample_threshold_;  // Trace kept iff Mix64(id ^ seed) < threshold.
   std::vector<Span> spans_;
   // Checkpoint cache, derived from spans_: the RSPN records of the first
-  // encoded_spans_ spans, extended by CheckpointTo so each span is encoded
-  // once however many checkpoints carry it. spans_ only grows between Clear
-  // and RestoreFrom, which reset the cache.
-  mutable std::vector<uint8_t> encoded_records_;
+  // encoded_spans_ spans and their running CRC32C, extended by CheckpointTo
+  // so each span is encoded and hashed once however many checkpoints carry
+  // it. spans_ only grows between Clear and RestoreFrom, which reset the
+  // cache.
+  mutable ChecksummedBytes encoded_records_;
   mutable size_t encoded_spans_ = 0;
   uint64_t recorded_ = 0;
   uint64_t dropped_ = 0;

@@ -17,6 +17,7 @@
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/wire/checksum.h"
 
 namespace rpcscope {
 namespace {
@@ -191,6 +192,105 @@ TEST(CheckpointFraming, CommitWritesReadableFile) {
   Result<CheckpointReader> reader = CheckpointReader::FromFile(path);
   ASSERT_TRUE(reader.ok());
   ASSERT_TRUE(reader->EnterSection("alpha").ok());
+}
+
+// Writes the same fields into `w`, passing the blob field either as a
+// checksummed tail after `head` or as one plain byte vector. `lead` and
+// `trail` put fields before and after it, so the blob lands at the start, in
+// the middle or at the end of its section. The last section repeats the blob.
+void WriteBlobSections(CheckpointWriter& w, bool checksummed, bool lead, bool trail,
+                       const std::vector<uint8_t>& head, const ChecksummedBytes& blob) {
+  std::vector<uint8_t> whole = head;
+  whole.insert(whole.end(), blob.bytes().begin(), blob.bytes().end());
+  auto write_blob = [&] {
+    if (checksummed) {
+      w.WriteBytes(head, blob);
+    } else {
+      w.WriteBytes(whole);
+    }
+  };
+  w.BeginSection("before");
+  w.WriteU64(1);
+  w.EndSection();
+  w.BeginSection("records");
+  if (lead) {
+    w.WriteU32(0xfeedface);
+    w.WriteString("lead");
+  }
+  write_blob();
+  if (trail) {
+    w.WriteU64(77);
+    w.WriteString("trail");
+  }
+  w.EndSection();
+  w.BeginSection("after");
+  write_blob();
+  w.EndSection();
+}
+
+TEST(CheckpointFraming, ChecksummedBlobMatchesPlainBytesAnywhereInASection) {
+  const std::vector<uint8_t> head = {0xb7, 0x01, 0x02};
+  ChecksummedBytes blob;
+  blob.Append([](std::vector<uint8_t>& out) {
+    for (int i = 0; i < 1000; ++i) {
+      out.push_back(static_cast<uint8_t>(i * 37 + 11));
+    }
+  });
+  std::vector<uint8_t> whole = head;
+  whole.insert(whole.end(), blob.bytes().begin(), blob.bytes().end());
+
+  int variant = 0;
+  for (const bool lead : {false, true}) {
+    for (const bool trail : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "lead " << lead << " trail " << trail);
+      CheckpointWriter combined;
+      CheckpointWriter plain;
+      WriteBlobSections(combined, /*checksummed=*/true, lead, trail, head, blob);
+      WriteBlobSections(plain, /*checksummed=*/false, lead, trail, head, blob);
+
+      // Same bytes, and a file CRC equal to hashing them.
+      const std::vector<uint8_t> image = combined.buffer();
+      EXPECT_EQ(image, plain.buffer());
+      EXPECT_EQ(combined.size(), image.size());
+      EXPECT_EQ(combined.crc32c(), Crc32c(image));
+      EXPECT_EQ(plain.crc32c(), Crc32c(image));
+
+      // Every section CRC checks out when read back.
+      Result<CheckpointReader> reader = CheckpointReader::FromBytes(image);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      CheckpointReader& r = *reader;
+      ASSERT_TRUE(r.EnterSection("before").ok());
+      EXPECT_EQ(r.ReadU64(), 1u);
+      ASSERT_TRUE(r.LeaveSection().ok());
+      ASSERT_TRUE(r.EnterSection("records").ok());
+      if (lead) {
+        EXPECT_EQ(r.ReadU32(), 0xfeedfaceu);
+        EXPECT_EQ(r.ReadString(), "lead");
+      }
+      EXPECT_EQ(r.ReadBytes(), whole);
+      if (trail) {
+        EXPECT_EQ(r.ReadU64(), 77u);
+        EXPECT_EQ(r.ReadString(), "trail");
+      }
+      ASSERT_TRUE(r.LeaveSection().ok());
+      ASSERT_TRUE(r.EnterSection("after").ok());
+      EXPECT_EQ(r.ReadBytes(), whole);
+      ASSERT_TRUE(r.LeaveSection().ok());
+      EXPECT_TRUE(r.Complete().ok());
+
+      // The manifest records that CRC, and the committed file validates.
+      const std::string root = FreshDir("ckpt_blob_" + std::to_string(variant++));
+      CheckpointSet set(root, 1);
+      ASSERT_TRUE(set.AddFile("shard-0000.ckpt", combined).ok());
+      ASSERT_TRUE(set.Commit(/*config_hash=*/5, /*sim_horizon=*/1000, /*num_shards=*/1).ok());
+      Result<CheckpointManifest> manifest = ValidateCheckpoint(set.final_dir(), 5);
+      ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+      ASSERT_EQ(manifest->files.size(), 1u);
+      EXPECT_EQ(manifest->files[0].size, image.size());
+      EXPECT_EQ(manifest->files[0].crc32c, Crc32c(image));
+      EXPECT_EQ(ReadAll(set.final_dir() + "/shard-0000.ckpt"), image);
+    }
+  }
 }
 
 TEST(CheckpointHelpers, RngStateRoundTripsMidSequence) {

@@ -334,6 +334,34 @@ TEST(ShardedFleetTest, CollectKeepsThePostWarmupMerge) {
   EXPECT_EQ(result.streamed_aggregate_digest, result.replayed_aggregate_digest);
 }
 
+TEST(ShardedFleetTest, CollectFoldEqualsTheSortedReplayPastEviction) {
+  // Collect folds the kept spans in record order; replayed_aggregate_digest
+  // is defined as the replay of the sorted merge. Past max_windows the hub
+  // evicts windows, where ingest order could matter, so pin the two together
+  // on runs that evict: one domain with 10 ms windows for 2 s, and eight
+  // shards with 100 ms windows for 5 s under a 24-window retention.
+  const ServiceCatalog catalog = ServiceCatalog::BuildDefault();
+  MiniFleetOptions single = ShardedOptions(0xf1ee7, 1, 1);
+  single.duration = Seconds(2);
+  single.observability.window = Millis(10);
+  MiniFleetOptions sharded = ShardedOptions(0xf1ee7, 8, 2);
+  sharded.duration = Seconds(5);
+  sharded.observability.window = Millis(100);
+  sharded.observability.max_windows = 24;
+  for (const MiniFleetOptions& options : {single, sharded}) {
+    SCOPED_TRACE(::testing::Message() << options.num_shards << " shards");
+    MiniFleet fleet(catalog, options);
+    ASSERT_TRUE(fleet.ArmThrough(kMaxSimTime).ok());
+    fleet.RunSegment(kMaxSimTime);
+    const MiniFleetResult result = fleet.Collect();
+    const ObservabilityHub replayed =
+        ReplayIntoHub(fleet.system().MergedSpans(), options.observability);
+    EXPECT_GT(fleet.system().hub()->windows_evicted(), 0);
+    EXPECT_GT(replayed.windows_evicted(), 0);
+    EXPECT_EQ(result.replayed_aggregate_digest, replayed.AggregateDigest());
+  }
+}
+
 TEST(ShardedFleetTest, MergedSpansAssembleIntoConsistentTraceTrees) {
   // Trace-tree assembly from the canonically merged span stream: every
   // non-root span's parent must exist in the same trace, children must not

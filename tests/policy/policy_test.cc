@@ -10,12 +10,15 @@
 namespace rpcscope {
 namespace {
 
-TEST(MethodPolicyTest, DefaultIsAllInherit) {
-  MethodPolicy p;
-  EXPECT_TRUE(p.IsInherit());
-  p.max_retries = 3;
-  EXPECT_FALSE(p.IsInherit());
+// Every field at its -1 inherit sentinel.
+void ExpectAllInherit(const MethodPolicy& p) {
+  EXPECT_EQ(p.max_retries, -1);
+  EXPECT_EQ(p.retry_backoff, -1);
+  EXPECT_EQ(p.retry_backoff_cap, -1);
+  EXPECT_EQ(p.attempt_timeout, -1);
 }
+
+TEST(MethodPolicyTest, DefaultIsAllInherit) { ExpectAllInherit(MethodPolicy{}); }
 
 TEST(MethodPolicyTest, MergeFromOverlaysOnlySetFields) {
   MethodPolicy base;
@@ -77,7 +80,7 @@ TEST(PolicyTimelineTest, AddStageAutoVersions) {
 TEST(PolicyEngineTest, UnboundEngineServesEmptySnapshot) {
   PolicyEngine engine;
   EXPECT_EQ(engine.version(), 0u);
-  EXPECT_TRUE(engine.current().Resolve(1).IsInherit());
+  ExpectAllInherit(engine.current().Resolve(1));
   engine.ApplyThrough(Seconds(100));  // No timeline: a no-op.
   EXPECT_EQ(engine.version(), 0u);
 }
