@@ -101,7 +101,8 @@ int main() {
               ExactQuantile(totals_ms, 0.99));
 
   // --- Trace-tree view (Dapper): shape of the nested call graph.
-  TraceForest forest(system.tracer().spans());
+  const SpanLog& spans = system.tracer().spans();
+  TraceForest forest(std::vector<Span>(spans.begin(), spans.end()));
   int64_t max_descendants = 0;
   int64_t max_depth = 0;
   for (const SpanShape& shape : forest.span_shapes()) {
@@ -109,12 +110,12 @@ int main() {
     max_depth = std::max(max_depth, shape.ancestors);
   }
   std::printf("traces: %zu, spans: %zu, max descendants: %lld, max depth: %lld\n",
-              forest.trace_shapes().size(), system.tracer().spans().size(),
+              forest.trace_shapes().size(), spans.size(),
               static_cast<long long>(max_descendants), static_cast<long long>(max_depth));
 
   // --- Hedging economics: cancelled spans and the cycles they wasted.
   int64_t cancelled = 0;
-  for (const Span& span : system.tracer().spans()) {
+  for (const Span& span : spans) {
     if (span.status == StatusCode::kCancelled) {
       ++cancelled;
     }

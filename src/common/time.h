@@ -35,7 +35,7 @@ constexpr SimDuration Hours(int64_t n) { return n * kHour; }
 constexpr SimDuration Days(int64_t n) { return n * kDay; }
 
 // Saturating instant + duration addition: clamps to the SimTime range
-// instead of wrapping. `Simulator::Schedule`/`RunFor` route through this so a
+// instead of wrapping. `Simulator::Schedule` routes through this so a
 // caller passing "effectively forever" (e.g. INT64_MAX) schedules at the far
 // end of virtual time rather than silently wrapping into the past in release
 // builds.

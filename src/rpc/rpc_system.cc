@@ -284,10 +284,9 @@ std::vector<Span> RpcSystem::MergedSpans() const {
   }
   keys.reserve(total);
   for (size_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<Span>& spans = shards_[s]->tracer.spans();
-    for (size_t i = 0; i < spans.size(); ++i) {
-      keys.push_back({spans[i].start_time, spans[i].trace_id, spans[i].span_id,
-                      static_cast<uint64_t>(s) << kShardShift | i});
+    uint64_t position = static_cast<uint64_t>(s) << kShardShift;
+    for (const Span& span : shards_[s]->tracer.spans()) {
+      keys.push_back({span.start_time, span.trace_id, span.span_id, position++});
     }
   }
   std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {

@@ -183,10 +183,11 @@ class SimFunction<R(Args...)> {
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
 };
 
-// The scheduler's event callback. Its size sets every queued event's size
-// (SimEvent pins that one), so a change to the capture budget shows here.
+// The scheduler's event callback. Its size sets the size of each Simulator
+// slab slot (the queue itself moves 24-byte keys), so a change to the capture
+// budget shows here.
 using SimCallback = SimFunction<void()>;
-static_assert(sizeof(SimCallback) == 64, "SimCallback grew: every queued event grows with it");
+static_assert(sizeof(SimCallback) == 64, "SimCallback grew: every pending event's slot grows with it");
 
 // Standard allocator over the capture pool, for per-call objects made and
 // dropped once per RPC (use MakePooledShared).

@@ -103,14 +103,10 @@ bool LadderEventQueue::TryRebalance() {
   // (cur_pos_ == 0), and the side heap's events re-bucket like any other.
   rebalance_scratch_.clear();
   for (size_t i = cur_; i < kNumBuckets; ++i) {
-    for (SimEvent& ev : buckets_[i]) {
-      rebalance_scratch_.push_back(std::move(ev));
-    }
+    rebalance_scratch_.insert(rebalance_scratch_.end(), buckets_[i].begin(), buckets_[i].end());
     buckets_[i].clear();
   }
-  for (SimEvent& ev : side_) {
-    rebalance_scratch_.push_back(std::move(ev));
-  }
+  rebalance_scratch_.insert(rebalance_scratch_.end(), side_.begin(), side_.end());
   side_.clear();
 
   win_start_ = anchor;
@@ -118,15 +114,15 @@ bool LadderEventQueue::TryRebalance() {
   cur_pos_ = 0;
   cur_sorted_ = false;
   drained_in_window_ = 0;
-  for (SimEvent& ev : rebalance_scratch_) {
+  for (const SimEvent& ev : rebalance_scratch_) {
     RPCSCOPE_DCHECK_GE(ev.time, win_start_) << "pending event before the pop floor";
     const uint64_t idx = static_cast<uint64_t>(ev.time - win_start_) >> shift_;
     if (idx >= kNumBuckets) {
-      overflow_.push_back(std::move(ev));
+      overflow_.push_back(ev);
       std::push_heap(overflow_.begin(), overflow_.end(),
                      event_queue_internal::ExecutesAfter{});
     } else {
-      buckets_[idx].push_back(std::move(ev));
+      buckets_[idx].push_back(ev);
     }
   }
   rebalance_scratch_.clear();
@@ -144,7 +140,7 @@ bool LadderEventQueue::TryRebalance() {
       break;  // Heap order: everything behind the front is even later.
     }
     std::pop_heap(overflow_.begin(), overflow_.end(), event_queue_internal::ExecutesAfter{});
-    buckets_[idx].push_back(std::move(overflow_.back()));
+    buckets_[idx].push_back(overflow_.back());
     overflow_.pop_back();
   }
   return true;
@@ -183,7 +179,7 @@ void LadderEventQueue::RebuildWindow() {
       break;  // Heap order: everything behind the front is even later.
     }
     std::pop_heap(overflow_.begin(), overflow_.end(), event_queue_internal::ExecutesAfter{});
-    buckets_[idx].push_back(std::move(overflow_.back()));
+    buckets_[idx].push_back(overflow_.back());
     overflow_.pop_back();
   }
 }

@@ -1,6 +1,6 @@
 // The discrete-event simulator's event queue.
 //
-// LadderEventQueue hands out events in exact (time, insertion-sequence)
+// LadderEventQueue hands out event keys in exact (time, insertion-sequence)
 // order — the order the determinism digest folds. It is a two-level
 // ladder/calendar queue: a window of near-future buckets gives O(1) insertion
 // and amortized O(1) extraction for the dominant case (events scheduled
@@ -17,9 +17,11 @@
 // (tests/sim/binary_heap_event_queue.h) is the test oracle the queue tests
 // compare the ladder with, op by op.
 //
-// The queue does not allocate per event in steady state: events embed a
-// SimCallback (inline storage / pooled captures) and bucket vectors retain
-// their capacity across windows.
+// The queue orders keys, not callbacks: a SimEvent names the Simulator slab
+// slot that holds its callback, so buckets, heaps and sorts move 24 bytes
+// per event and never run a callback's relocation. The queue does not
+// allocate per event in steady state: bucket vectors retain their capacity
+// across windows.
 #ifndef RPCSCOPE_SRC_SIM_EVENT_QUEUE_H_
 #define RPCSCOPE_SRC_SIM_EVENT_QUEUE_H_
 
@@ -30,18 +32,19 @@
 
 #include "src/common/check.h"
 #include "src/common/time.h"
-#include "src/sim/callback.h"
 
 namespace rpcscope {
 
+// An event's key: when it runs, its insertion sequence, and the Simulator
+// slab slot that holds its callback.
 struct SimEvent {
   SimTime time = 0;
   uint64_t seq = 0;
-  SimCallback fn;
+  uint32_t slot = 0;
 };
-// Buckets, the side heap and the overflow heap all move whole events: keep
-// one at (time, seq) plus the 64-byte callback.
-static_assert(sizeof(SimEvent) == 80, "SimEvent grew: every queued event costs more to move");
+// Buckets, the side heap and the overflow heap all move whole keys: keep one
+// at (time, seq) plus the slot index.
+static_assert(sizeof(SimEvent) == 24, "SimEvent grew: every queued event costs more to move");
 
 namespace event_queue_internal {
 
@@ -72,21 +75,22 @@ class LadderEventQueue {
   void Push(SimEvent ev) {
     // Every pushed event satisfies ev.time >= the simulator clock >= floor_,
     // but not necessarily >= win_start_: a rebalance may anchor the window at
-    // a pending cluster ahead of the clock, and RunUntil can then schedule
-    // into the gap before it.
+    // a pending cluster ahead of the clock (Front() runs without a pop when
+    // RunBefore stops at its bound), and a push can then land in the gap
+    // before it.
     RPCSCOPE_DCHECK_GE(ev.time, floor_) << "event scheduled before the pop floor";
     const int64_t delta = ev.time - win_start_;
     ++size_;
     if (delta >= 0) {
       const uint64_t idx = static_cast<uint64_t>(delta) >> shift_;
       if (idx >= kNumBuckets) {
-        overflow_.push_back(std::move(ev));
+        overflow_.push_back(ev);
         std::push_heap(overflow_.begin(), overflow_.end(),
                        event_queue_internal::ExecutesAfter{});
         return;
       }
       if (idx > cur_ || (idx == cur_ && !cur_sorted_)) {
-        buckets_[idx].push_back(std::move(ev));
+        buckets_[idx].push_back(ev);
         return;
       }
     }
@@ -94,27 +98,38 @@ class LadderEventQueue {
     // empty buckets and the clock advanced), or inside the bucket being
     // drained. The side heap keeps these ordered without re-sorting or
     // shifting the drained bucket; Front() merges the two streams.
-    side_.push_back(std::move(ev));
+    side_.push_back(ev);
     std::push_heap(side_.begin(), side_.end(), event_queue_internal::ExecutesAfter{});
   }
 
   bool Empty() const { return size_ == 0; }
   size_t Size() const { return size_; }
 
-  // Time of the earliest event; advances the internal cursor to it (cheap and
-  // idempotent). Requires !Empty().
+  // Earliest pending key; positions the cursor on it and records whether it
+  // lives in the side heap or the current bucket (cheap and idempotent).
+  // Requires !Empty().
+  const SimEvent& Front();
+
   SimTime PeekTime() { return Front().time; }
 
-  // Removes and returns the earliest event. Requires !Empty().
+  // Removes and returns the earliest key. Requires !Empty().
   SimEvent PopFront() {
-    Front();  // Position the cursor and decide which stream is earliest.
+    Front();
+    return PopPositioned();
+  }
+
+  // Removes and returns the key the preceding Front() returned, without
+  // positioning again: the dispatch loop reads the front's time and pops it
+  // with one positioning. No Push may come between the two calls.
+  SimEvent PopPositioned() {
+    RPCSCOPE_DCHECK(size_ > 0) << "pop from an empty ladder queue";
     SimEvent ev;
     if (front_in_side_) {
       std::pop_heap(side_.begin(), side_.end(), event_queue_internal::ExecutesAfter{});
-      ev = std::move(side_.back());
+      ev = side_.back();
       side_.pop_back();
     } else {
-      ev = std::move(buckets_[cur_][cur_pos_]);
+      ev = buckets_[cur_][cur_pos_];
       ++cur_pos_;
     }
     --size_;
@@ -140,10 +155,6 @@ class LadderEventQueue {
   // bucket, so density spikes never degrade into one giant sorted bucket.
   static constexpr size_t kSplitOccupancy = 64;
   static constexpr size_t kTargetOccupancy = 8;
-
-  // Earliest pending event; positions the cursor on it and records whether it
-  // lives in the side heap or the current bucket. Requires size_ > 0.
-  const SimEvent& Front();
 
   // Narrows the bucket width and redistributes every in-window event so the
   // dense current bucket spreads to ~kTargetOccupancy events per bucket.

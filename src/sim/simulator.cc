@@ -19,16 +19,26 @@ void Simulator::Schedule(SimDuration delay, Callback fn) {
   ScheduleAt(AddClamped(now_, delay), std::move(fn));
 }
 
+CallbackSlab::~CallbackSlab() {
+  RPCSCOPE_DCHECK_EQ(live_, size_t{0}) << "slab destroyed with live callbacks";
+}
+
+Simulator::~Simulator() {
+  while (!queue_.Empty()) {
+    slab_.Release(queue_.PopFront().slot);
+  }
+}
+
 void Simulator::ScheduleAt(SimTime when, Callback fn) {
   RPCSCOPE_DCHECK_GE(when, now_) << "scheduling in the past; release builds clamp to now";
   if (when < now_) {
     when = now_;
   }
-  queue_.Push(SimEvent{when, next_seq_++, std::move(fn)});
+  queue_.Push(SimEvent{when, next_seq_++, slab_.Put(std::move(fn))});
 }
 
 SimEvent Simulator::PopEvent() {
-  SimEvent ev = queue_.PopFront();
+  const SimEvent ev = queue_.PopPositioned();
   // The virtual clock never moves backwards, and the queue hands out events in
   // strict (time, seq) order. A violation here means the queue or an event
   // mutation corrupted the schedule — every downstream latency number would be
@@ -47,30 +57,31 @@ SimEvent Simulator::PopEvent() {
   return ev;
 }
 
-uint64_t Simulator::Run() {
+template <bool kBounded>
+uint64_t Simulator::Dispatch(SimTime until) {
   uint64_t executed = 0;
   while (!queue_.Empty()) {
-    SimEvent ev = PopEvent();
-    ev.fn();
+    const SimTime front_time = queue_.Front().time;  // The step's one positioning.
+    if (kBounded && front_time >= until) {
+      break;
+    }
+    const SimEvent ev = PopEvent();
+    // The slot stays put while its callback schedules more events.
+    slab_.At(ev.slot)();
+    slab_.Release(ev.slot);
     ++executed;
   }
   events_executed_ += executed;
   return executed;
 }
 
-uint64_t Simulator::RunBefore(SimTime until) {
-  uint64_t executed = 0;
-  while (!queue_.Empty() && queue_.PeekTime() < until) {
-    SimEvent ev = PopEvent();
-    ev.fn();
-    ++executed;
-  }
-  events_executed_ += executed;
-  return executed;
-}
+uint64_t Simulator::Run() { return Dispatch<false>(kMaxSimTime); }
+
+uint64_t Simulator::RunBefore(SimTime until) { return Dispatch<true>(until); }
 
 Status Simulator::CheckpointTo(CheckpointWriter& w) const {
-  if (!queue_.Empty()) {
+  RPCSCOPE_DCHECK_EQ(slab_.live(), queue_.Size()) << "slab and queue disagree";
+  if (!queue_.Empty() || slab_.live() != 0) {
     return FailedPreconditionError(
         "simulator queue not drained: checkpoints are only taken at quiescent "
         "barriers (events hold closures and cannot be persisted)");
@@ -88,7 +99,7 @@ Status Simulator::CheckpointTo(CheckpointWriter& w) const {
 }
 
 Status Simulator::RestoreFrom(CheckpointReader& r) {
-  if (!queue_.Empty()) {
+  if (!queue_.Empty() || slab_.live() != 0) {
     return FailedPreconditionError("restore into a simulator with pending events");
   }
   if (Status s = r.EnterSection("sim"); !s.ok()) {
@@ -136,20 +147,6 @@ Status Simulator::ResyncAt(SimTime barrier) {
   any_executed_ = false;
   queue_ = LadderEventQueue();
   return Status::Ok();
-}
-
-uint64_t Simulator::RunUntil(SimTime until) {
-  uint64_t executed = 0;
-  while (!queue_.Empty() && queue_.PeekTime() <= until) {
-    SimEvent ev = PopEvent();
-    ev.fn();
-    ++executed;
-  }
-  if (now_ < until) {
-    now_ = until;
-  }
-  events_executed_ += executed;
-  return executed;
 }
 
 }  // namespace rpcscope

@@ -7,17 +7,23 @@
 // expressed as resources over virtual time, not as host threads.
 //
 // Hot-path design (docs/PERF.md): callbacks are SimCallback (inline storage,
-// pooled arena for large captures) and the pending-event set lives in a
-// ladder/calendar queue, so steady-state Schedule/dispatch is allocation-free
-// and mostly O(1). A binary heap serves only as a test oracle
-// (tests/sim/binary_heap_event_queue.h) that the queue tests compare the
-// ladder with, op by op. PopEvent CHECKs strict (time, seq) order on every
-// event, so a run that executes every scheduled event once executes them in
-// exactly the heap's order.
+// pooled arena for large captures) held in a slab of slots that never move,
+// and the pending-event set is a ladder/calendar queue of 24-byte keys that
+// name those slots, so steady-state Schedule/dispatch is allocation-free,
+// moves each callback once and is mostly O(1). A binary heap serves only as a
+// test oracle (tests/sim/binary_heap_event_queue.h) that the queue tests
+// compare the ladder with, op by op. PopEvent CHECKs strict (time, seq) order
+// on every event, so a run that executes every scheduled event once executes
+// them in exactly the heap's order.
 #ifndef RPCSCOPE_SRC_SIM_SIMULATOR_H_
 #define RPCSCOPE_SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/digest.h"
@@ -31,6 +37,75 @@ namespace rpcscope {
 class CheckpointWriter;
 class CheckpointReader;
 
+// Stable storage for pending callbacks. Slots live in fixed blocks that never
+// move, so a callback runs in place even while it schedules more events (which
+// may add a block). A slot is constructed when an event is scheduled into it
+// and destroyed after the event runs; a block's memory is only touched slot by
+// slot. Freed slots form a LIFO list threaded through their own bytes, so the
+// next schedule reuses the slot the last dispatch left in cache.
+class CallbackSlab {
+ public:
+  // 512 slots of 64 bytes: a 32 KiB block.
+  static constexpr uint32_t kBlockBits = 9;
+  static constexpr uint32_t kSlotsPerBlock = uint32_t{1} << kBlockBits;
+
+  CallbackSlab() = default;
+  CallbackSlab(const CallbackSlab&) = delete;
+  CallbackSlab& operator=(const CallbackSlab&) = delete;
+  // Requires live() == 0: the owner destroys pending callbacks first.
+  ~CallbackSlab();
+
+  // Moves `fn` into a free slot and returns the slot's index.
+  uint32_t Put(SimCallback&& fn) {
+    uint32_t slot;
+    if (free_head_ != kNoSlot) {
+      slot = free_head_;
+      std::memcpy(&free_head_, Bytes(slot), sizeof(free_head_));
+    } else {
+      if (touched_ == blocks_.size() * kSlotsPerBlock) {
+        blocks_.push_back(std::make_unique_for_overwrite<Block>());
+      }
+      slot = touched_++;
+    }
+    ::new (static_cast<void*>(Bytes(slot))) SimCallback(std::move(fn));
+    ++live_;
+    return slot;
+  }
+
+  // The callback in a live slot.
+  SimCallback& At(uint32_t slot) {
+    return *std::launder(reinterpret_cast<SimCallback*>(Bytes(slot)));
+  }
+
+  // Destroys the callback in a live slot and frees the slot.
+  void Release(uint32_t slot) {
+    At(slot).~SimCallback();
+    std::memcpy(Bytes(slot), &free_head_, sizeof(free_head_));
+    free_head_ = slot;
+    --live_;
+  }
+
+  // Slots holding a callback.
+  size_t live() const { return live_; }
+
+ private:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  static constexpr uint32_t kSlotMask = kSlotsPerBlock - 1;
+
+  struct Block {
+    alignas(SimCallback) unsigned char slots[kSlotsPerBlock][sizeof(SimCallback)];
+  };
+
+  unsigned char* Bytes(uint32_t slot) {
+    return blocks_[slot >> kBlockBits]->slots[slot & kSlotMask];
+  }
+
+  std::vector<std::unique_ptr<Block>> blocks_;
+  uint32_t touched_ = 0;  // Slots [0, touched_) have held a callback.
+  uint32_t free_head_ = kNoSlot;
+  size_t live_ = 0;
+};
+
 // RPCSCOPE_CHECKPOINTED(CheckpointTo, RestoreFrom)
 class Simulator {
  public:
@@ -39,6 +114,8 @@ class Simulator {
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
+  // Destroys each pending event's callback once, without running it.
+  ~Simulator();
 
   SimTime Now() const { return now_; }
 
@@ -55,23 +132,16 @@ class Simulator {
   // Runs until the event queue drains. Returns the number of events executed.
   uint64_t Run();
 
-  // Runs events with time <= until (events exactly at `until` execute).
-  // Advances Now() to `until` even if the queue drains earlier.
-  uint64_t RunUntil(SimTime until);
-
   // Runs events with time strictly < until (events exactly at `until` do NOT
-  // execute). Unlike RunUntil, does not advance Now() past the last executed
-  // event: the conservative-PDES round loop (src/sim/parallel/) needs the
-  // clock to stay at the last local event so that messages arriving exactly
-  // at the round boundary can still be scheduled without clamping.
+  // execute). Does not advance Now() past the last executed event: the
+  // conservative-PDES round loop (src/sim/parallel/) needs the clock to stay
+  // at the last local event so that messages arriving exactly at the round
+  // boundary can still be scheduled without clamping.
   uint64_t RunBefore(SimTime until);
 
   // Timestamp of the earliest pending event, or kMaxSimTime when the queue is
   // empty. The shard executor uses this to size adaptive rounds.
   SimTime NextEventTime() { return queue_.Empty() ? kMaxSimTime : queue_.PeekTime(); }
-
-  // RunUntil(now + duration), saturating instead of wrapping on overflow.
-  uint64_t RunFor(SimDuration duration) { return RunUntil(AddClamped(now_, duration)); }
 
   bool empty() const { return queue_.Empty(); }
   uint64_t events_executed() const { return events_executed_; }
@@ -85,12 +155,13 @@ class Simulator {
   // diff this value.
   uint64_t event_digest() const { return event_digest_; }
 
-  // Checkpoint support (src/checkpoint/). The event queue holds closures and
-  // cannot be persisted, so both directions require a drained queue: the
-  // clock, sequence counter, and digest serialize, and schedulers re-arm
-  // their own future events after Restore. Serialize fails if any event is
-  // pending; Restore fails on a pre-populated queue. The section keeps the
-  // byte that once named the queue kind; it is always 0 (the ladder).
+  // Checkpoint support (src/checkpoint/). Pending events hold closures that
+  // cannot be persisted, so both directions require a drained queue and no
+  // live slab slot: the clock, sequence counter, and digest serialize, and
+  // schedulers re-arm their own future events after Restore. Serialize fails
+  // if any event is pending; Restore fails on a pre-populated queue. The
+  // section keeps the byte that once named the queue kind; it is always 0
+  // (the ladder).
   [[nodiscard]] Status CheckpointTo(CheckpointWriter& w) const;
   [[nodiscard]] Status RestoreFrom(CheckpointReader& r);
 
@@ -105,8 +176,15 @@ class Simulator {
   [[nodiscard]] Status ResyncAt(SimTime barrier);
 
  private:
-  // Pops the front event, advances the clock (checking monotonicity and
-  // (time, seq) ordering), and folds the event into the digest.
+  // The dispatch loop behind Run (kBounded false) and RunBefore: each step
+  // positions the queue once, pops the front key while its time is before
+  // `until`, runs the slot's callback in place and releases the slot.
+  template <bool kBounded>
+  uint64_t Dispatch(SimTime until);
+
+  // Pops the key Front() positioned on, advances the clock (checking
+  // monotonicity and (time, seq) ordering), and folds the event into the
+  // digest.
   SimEvent PopEvent();
 
   SimTime now_ = 0;
@@ -118,6 +196,8 @@ class Simulator {
   uint64_t last_seq_ = 0;
   bool any_executed_ = false;
   LadderEventQueue queue_;
+  // Holds the callback of every key in queue_, and nothing else.
+  CallbackSlab slab_;
 };
 
 }  // namespace rpcscope

@@ -105,13 +105,36 @@ Status TraceCollector::RestoreFrom(CheckpointReader& r) {
   if (next_id == 0) {
     return DataLossError("trace-collector id counter is zero");
   }
-  Result<std::vector<Span>> spans = DeserializeSpans(span_blob);
-  if (!spans.ok()) {
-    return spans.status();
+  Result<SpanReader> reader = SpanReader::Open(span_blob);
+  if (!reader.ok()) {
+    return reader.status();
   }
-  spans_ = std::move(spans).value();
+  const size_t records_begin = reader.value().offset();
+  SpanLog spans;
+  Span span;
+  for (;;) {
+    Result<bool> more = reader.value().Next(span);
+    if (!more.ok()) {
+      return more.status();
+    }
+    if (!more.value()) {
+      break;
+    }
+    spans.push_back(span);
+  }
+  spans_ = std::move(spans);
   encoded_records_.Clear();
   encoded_spans_ = 0;
+  // The blob's records are what CheckpointTo would encode for these spans, and
+  // the section CRC has just vouched for them. A v1 batch lacks the v2 fields,
+  // so its spans are encoded afresh at the next checkpoint.
+  if (reader.value().version() == kSpanBatchVersion) {
+    encoded_records_.Append([&](std::vector<uint8_t>& records) {
+      records.insert(records.end(), span_blob.begin() + static_cast<std::ptrdiff_t>(records_begin),
+                     span_blob.end());
+    });
+    encoded_spans_ = spans_.size();
+  }
   recorded_ = recorded;
   dropped_ = dropped;
   next_id_ = next_id;

@@ -2,15 +2,16 @@
 //
 // Collects spans with probabilistic head sampling (a root's sampling decision
 // propagates to the whole tree via the trace id, as in Dapper). Stores spans
-// in memory; analyses read them back as a flat view or assembled trees.
+// in memory, in a SpanLog of fixed blocks; analyses read them back as a flat
+// view or assembled trees.
 #ifndef RPCSCOPE_SRC_TRACE_COLLECTOR_H_
 #define RPCSCOPE_SRC_TRACE_COLLECTOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/trace/span.h"
+#include "src/trace/span_log.h"
 #include "src/wire/checksum.h"
 
 namespace rpcscope {
@@ -46,7 +47,7 @@ class TraceCollector {
   TraceId NewTraceId();
   SpanId NewSpanId();
 
-  const std::vector<Span>& spans() const { return spans_; }
+  const SpanLog& spans() const { return spans_; }
   uint64_t recorded() const { return recorded_; }
   uint64_t dropped() const { return dropped_; }
 
@@ -66,7 +67,8 @@ class TraceCollector {
   // re-validates sampling options via the derived threshold and replaces any
   // existing contents wholesale. CheckpointTo encodes and hashes only the
   // spans recorded since the previous call; the blob is byte-identical to
-  // SerializeSpans(spans()).
+  // SerializeSpans(spans()). Restoring a current-version blob keeps its
+  // records as the cache, so the next checkpoint encodes only new spans.
   [[nodiscard]] Status CheckpointTo(CheckpointWriter& w) const;
   [[nodiscard]] Status RestoreFrom(CheckpointReader& r);
 
@@ -79,12 +81,12 @@ class TraceCollector {
   // themselves via disjoint id_offset ranges.
   Options options_;
   uint64_t sample_threshold_;  // Trace kept iff Mix64(id ^ seed) < threshold.
-  std::vector<Span> spans_;
+  SpanLog spans_;
   // Checkpoint cache, derived from spans_: the RSPN records of the first
   // encoded_spans_ spans and their running CRC32C, extended by CheckpointTo
   // so each span is encoded and hashed once however many checkpoints carry
   // it. spans_ only grows between Clear and RestoreFrom, which reset the
-  // cache.
+  // cache (RestoreFrom to the restored records).
   mutable ChecksummedBytes encoded_records_;
   mutable size_t encoded_spans_ = 0;
   uint64_t recorded_ = 0;

@@ -10,14 +10,36 @@ namespace rpcscope {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'S', 'P', 'N'};
-// v2 appends the colocated-bypass fields (flag + avoided tax cycles) to each
-// record; v1 batches remain readable, decoding those fields as their defaults.
-constexpr uint64_t kVersion = 2;
 
-void PutDouble(std::vector<uint8_t>& out, double value) {
+// Varints in one span record: 17 fixed fields plus the latency components.
+constexpr size_t kRecordVarints = 17 + kNumRpcComponents;
+constexpr size_t kMaxVarintBytes = 10;
+
+// PutVarint64 through a cursor into space the caller has already made.
+uint8_t* WriteVarint(uint8_t* out, uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<uint8_t>(value | 0x80);
+    value >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(value);
+  return out;
+}
+
+uint64_t DoubleBits(double value) {
   uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
-  PutVarint64(out, bits);
+  return bits;
+}
+
+template <typename Spans>
+std::vector<uint8_t> SerializeBatch(const Spans& spans) {
+  std::vector<uint8_t> out;
+  out.reserve(spans.size() * 64 + 16);
+  AppendSpanBatchHeader(out, spans.size());
+  for (const Span& s : spans) {
+    AppendSpanRecord(out, s);
+  }
+  return out;
 }
 
 bool GetDouble(const std::vector<uint8_t>& buf, size_t& pos, double& value) {
@@ -33,42 +55,45 @@ bool GetDouble(const std::vector<uint8_t>& buf, size_t& pos, double& value) {
 
 void AppendSpanBatchHeader(std::vector<uint8_t>& out, uint64_t count) {
   out.insert(out.end(), kMagic, kMagic + 4);
-  PutVarint64(out, kVersion);
+  PutVarint64(out, kSpanBatchVersion);
   PutVarint64(out, count);
 }
 
 void AppendSpanRecord(std::vector<uint8_t>& out, const Span& span) {
-  PutVarint64(out, span.trace_id);
-  PutVarint64(out, span.span_id);
-  PutVarint64(out, span.parent_span_id);
-  PutVarint64(out, ZigzagEncode(span.method_id));
-  PutVarint64(out, ZigzagEncode(span.service_id));
-  PutVarint64(out, ZigzagEncode(span.client_cluster));
-  PutVarint64(out, ZigzagEncode(span.server_cluster));
-  PutVarint64(out, ZigzagEncode(span.start_time));
+  // One resize to the record's upper bound, writes through a cursor, and a
+  // trim to what was written: the same bytes as a PutVarint64 per field.
+  const size_t start = out.size();
+  out.resize(start + kRecordVarints * kMaxVarintBytes);
+  uint8_t* const begin = out.data() + start;
+  uint8_t* p = begin;
+  p = WriteVarint(p, span.trace_id);
+  p = WriteVarint(p, span.span_id);
+  p = WriteVarint(p, span.parent_span_id);
+  p = WriteVarint(p, ZigzagEncode(span.method_id));
+  p = WriteVarint(p, ZigzagEncode(span.service_id));
+  p = WriteVarint(p, ZigzagEncode(span.client_cluster));
+  p = WriteVarint(p, ZigzagEncode(span.server_cluster));
+  p = WriteVarint(p, ZigzagEncode(span.start_time));
   for (SimDuration d : span.latency.components) {
-    PutVarint64(out, ZigzagEncode(d));
+    p = WriteVarint(p, ZigzagEncode(d));
   }
-  PutVarint64(out, static_cast<uint64_t>(span.status));
-  PutVarint64(out, ZigzagEncode(span.request_payload_bytes));
-  PutVarint64(out, ZigzagEncode(span.response_payload_bytes));
-  PutVarint64(out, ZigzagEncode(span.request_wire_bytes));
-  PutVarint64(out, ZigzagEncode(span.response_wire_bytes));
-  PutVarint64(out, span.has_cpu_annotation ? 1 : 0);
-  PutDouble(out, span.normalized_cpu_cycles);
-  PutVarint64(out, span.colocated ? 1 : 0);
-  PutDouble(out, span.avoided_tax_cycles);
+  p = WriteVarint(p, static_cast<uint64_t>(span.status));
+  p = WriteVarint(p, ZigzagEncode(span.request_payload_bytes));
+  p = WriteVarint(p, ZigzagEncode(span.response_payload_bytes));
+  p = WriteVarint(p, ZigzagEncode(span.request_wire_bytes));
+  p = WriteVarint(p, ZigzagEncode(span.response_wire_bytes));
+  p = WriteVarint(p, span.has_cpu_annotation ? 1 : 0);
+  p = WriteVarint(p, DoubleBits(span.normalized_cpu_cycles));
+  p = WriteVarint(p, span.colocated ? 1 : 0);
+  p = WriteVarint(p, DoubleBits(span.avoided_tax_cycles));
+  out.resize(start + static_cast<size_t>(p - begin));
 }
 
 std::vector<uint8_t> SerializeSpans(const std::vector<Span>& spans) {
-  std::vector<uint8_t> out;
-  out.reserve(spans.size() * 64 + 16);
-  AppendSpanBatchHeader(out, spans.size());
-  for (const Span& s : spans) {
-    AppendSpanRecord(out, s);
-  }
-  return out;
+  return SerializeBatch(spans);
 }
+
+std::vector<uint8_t> SerializeSpans(const SpanLog& spans) { return SerializeBatch(spans); }
 
 Result<SpanReader> SpanReader::Open(const std::vector<uint8_t>& bytes) {
   if (bytes.size() < 4 || std::memcmp(bytes.data(), kMagic, 4) != 0) {
@@ -76,7 +101,7 @@ Result<SpanReader> SpanReader::Open(const std::vector<uint8_t>& bytes) {
   }
   size_t pos = 4;
   uint64_t version, count;
-  if (!GetVarint64(bytes, pos, version) || version < 1 || version > kVersion) {
+  if (!GetVarint64(bytes, pos, version) || version < 1 || version > kSpanBatchVersion) {
     return InvalidArgumentError("unsupported span batch version");
   }
   if (!GetVarint64(bytes, pos, count)) {

@@ -15,14 +15,20 @@
 
 #include "src/common/status.h"
 #include "src/trace/span.h"
+#include "src/trace/span_log.h"
 
 namespace rpcscope {
 
 // Binary codec for span batches. The format is self-describing:
 //   [magic "RSPN"][varint version][varint count][span records...]
 // Each span record encodes its fields as varints (durations as ns, doubles
-// as IEEE-754 bit patterns).
+// as IEEE-754 bit patterns). v2 appends the colocated-bypass fields (flag +
+// avoided tax cycles) to each record; v1 batches remain readable, decoding
+// those fields as their defaults.
+inline constexpr uint64_t kSpanBatchVersion = 2;
+
 std::vector<uint8_t> SerializeSpans(const std::vector<Span>& spans);
+std::vector<uint8_t> SerializeSpans(const SpanLog& spans);
 // The two halves of SerializeSpans, for callers that keep encoded records
 // across batches (TraceCollector's checkpoint cache): a batch is the header
 // for `count` records followed by `count` AppendSpanRecord outputs.
@@ -43,6 +49,10 @@ class SpanReader {
   // Spans declared by the batch header / not yet read.
   uint64_t count() const { return count_; }
   uint64_t remaining() const { return count_ - read_; }
+  // The batch's format version, and the byte offset of the next record (of
+  // the first, before any Next).
+  uint64_t version() const { return version_; }
+  size_t offset() const { return pos_; }
 
   // Decodes the next span into `span`. Returns true on success, false at
   // end-of-batch (after verifying no trailing bytes follow the last record);

@@ -259,7 +259,7 @@ TEST(ShardedFleetTest, CrossShardRpcEndToEnd) {
 std::vector<Span> StableSortedMerge(RpcSystem& system) {
   std::vector<Span> all;
   for (int s = 0; s < system.num_shards(); ++s) {
-    const std::vector<Span>& spans = system.shard(s).tracer.spans();
+    const SpanLog& spans = system.shard(s).tracer.spans();
     all.insert(all.end(), spans.begin(), spans.end());
   }
   std::stable_sort(all.begin(), all.end(), [](const Span& a, const Span& b) {

@@ -83,7 +83,8 @@ TEST(RpcSystemTest, FullFleetPipelineIsDeterministic) {
       });
     }
     system.sim().Run();
-    return system.tracer().spans();
+    const SpanLog& spans = system.tracer().spans();
+    return std::vector<Span>(spans.begin(), spans.end());
   };
   const std::vector<Span> a = run();
   const std::vector<Span> b = run();

@@ -23,12 +23,10 @@ namespace {
 
 using TimeSeq = std::pair<SimTime, uint64_t>;
 
+// The slot is arbitrary here: the queue orders keys by (time, seq) and only
+// carries the slot through, which the comparisons below check as well.
 SimEvent MakeEvent(SimTime time, uint64_t seq) {
-  SimEvent ev;
-  ev.time = time;
-  ev.seq = seq;
-  ev.fn = SimCallback([] {});
-  return ev;
+  return SimEvent{time, seq, static_cast<uint32_t>(seq * 7 + 3)};
 }
 
 TEST(EventQueueTest, LadderMatchesHeapOnSequentialPops) {
@@ -47,6 +45,7 @@ TEST(EventQueueTest, LadderMatchesHeapOnSequentialPops) {
     const SimEvent b = heap.PopFront();
     EXPECT_EQ(a.time, b.time);
     EXPECT_EQ(a.seq, b.seq);
+    EXPECT_EQ(a.slot, b.slot);
   }
   EXPECT_TRUE(ladder.Empty());
 }
@@ -158,6 +157,7 @@ TEST(EventQueueTest, RandomizedInterleavedOpsMatchReferenceExactly) {
       const SimEvent b = heap.PopFront();
       ASSERT_EQ(a.time, b.time) << "op " << op;
       ASSERT_EQ(a.seq, b.seq) << "op " << op;
+      ASSERT_EQ(a.slot, b.slot) << "op " << op;
       now = a.time;
       ++pops;
     }
@@ -169,6 +169,7 @@ TEST(EventQueueTest, RandomizedInterleavedOpsMatchReferenceExactly) {
     const SimEvent b = heap.PopFront();
     ASSERT_EQ(a.time, b.time);
     ASSERT_EQ(a.seq, b.seq);
+    ASSERT_EQ(a.slot, b.slot);
     ++pops;
   }
   EXPECT_TRUE(ladder.Empty());

@@ -42,7 +42,7 @@ TEST(RunBeforeTest, DoesNotAdvanceClockPastLastExecutedEvent) {
   Simulator sim;
   sim.ScheduleAt(5, []() {});
   EXPECT_EQ(sim.RunBefore(1000), 1u);
-  // Unlike RunUntil, the clock stays at the last executed event: an event
+  // The clock stays at the last executed event, not at the bound: an event
   // arriving later at exactly t=1000 must be schedulable without clamping.
   EXPECT_EQ(sim.Now(), 5);
   sim.ScheduleAt(1000, []() {});

@@ -99,7 +99,7 @@ TEST(ServerResourceTest, UtilizationWithIdleGaps) {
   ServerResource res(&sim, {.workers = 1});
   res.Submit(Millis(10), [](SimDuration, SimDuration) {});
   sim.Run();
-  sim.RunUntil(Millis(100));
+  ASSERT_TRUE(sim.ResyncAt(Millis(100)).ok());
   EXPECT_EQ(res.busy_time(), Millis(10));
 }
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
+#include "src/sim/callback.h"
+#include "tests/sim/binary_heap_event_queue.h"
 
 namespace rpcscope {
 namespace {
@@ -45,24 +49,6 @@ TEST(SimulatorTest, CallbacksCanScheduleMore) {
   EXPECT_EQ(sim.Now(), Millis(9));
 }
 
-TEST(SimulatorTest, RunUntilStopsAtBoundary) {
-  Simulator sim;
-  int hits = 0;
-  sim.Schedule(Millis(5), [&] { ++hits; });
-  sim.Schedule(Millis(15), [&] { ++hits; });
-  sim.RunUntil(Millis(10));
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(sim.Now(), Millis(10));
-  sim.Run();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(SimulatorTest, RunUntilAdvancesClockWhenQueueEmpty) {
-  Simulator sim;
-  sim.RunUntil(Seconds(100));
-  EXPECT_EQ(sim.Now(), Seconds(100));
-}
-
 TEST(SimulatorTest, NegativeDelayClampedInReleaseDiesInDebug) {
   if (kDCheckEnabled) {
     EXPECT_DEATH(
@@ -85,75 +71,26 @@ TEST(SimulatorTest, ScheduleAtInThePastClampedInReleaseDiesInDebug) {
     EXPECT_DEATH(
         {
           Simulator sim;
-          sim.RunUntil(Millis(10));
+          ASSERT_TRUE(sim.ResyncAt(Millis(10)).ok());
           sim.ScheduleAt(Millis(5), [] {});
         },
         "scheduling in the past");
     return;
   }
   Simulator sim;
-  sim.RunUntil(Millis(10));
+  ASSERT_TRUE(sim.ResyncAt(Millis(10)).ok());
   sim.ScheduleAt(Millis(5), [&] { EXPECT_EQ(sim.Now(), Millis(10)); });
   sim.Run();
 }
 
-TEST(SimulatorTest, RunUntilQueueDrainsEarlyStillAdvancesToBoundary) {
-  Simulator sim;
-  int hits = 0;
-  sim.Schedule(Millis(2), [&] { ++hits; });
-  const uint64_t executed = sim.RunUntil(Millis(50));
-  EXPECT_EQ(executed, 1u);
-  EXPECT_EQ(hits, 1);
-  // The queue drained at 2 ms but virtual time still reaches the boundary.
-  EXPECT_EQ(sim.Now(), Millis(50));
-}
-
-TEST(SimulatorTest, RunUntilEventExactlyAtBoundaryRuns) {
-  Simulator sim;
-  int hits = 0;
-  sim.Schedule(Millis(10), [&] { ++hits; });
-  sim.Schedule(Millis(10) + 1, [&] { ++hits; });
-  sim.RunUntil(Millis(10));
-  // An event at exactly `until` executes; one a nanosecond later does not.
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(sim.Now(), Millis(10));
-  sim.Run();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(SimulatorTest, RunUntilInThePastIsANoOp) {
-  Simulator sim;
-  sim.RunUntil(Millis(20));
-  int hits = 0;
-  sim.Schedule(Millis(5), [&] { ++hits; });
-  const uint64_t executed = sim.RunUntil(Millis(10));  // Before Now().
-  EXPECT_EQ(executed, 0u);
-  EXPECT_EQ(hits, 0);
-  EXPECT_EQ(sim.Now(), Millis(20));  // Clock never moves backwards.
-  sim.Run();
-  EXPECT_EQ(hits, 1);
-}
-
 TEST(SimulatorTest, ScheduleClampsAtMaxSimTimeInsteadOfOverflowing) {
   Simulator sim;
-  sim.RunUntil(Seconds(1));
+  ASSERT_TRUE(sim.ResyncAt(Seconds(1)).ok());
   SimTime seen = 0;
   // now_ + kMaxSimTime would overflow; the event must land at kMaxSimTime.
   sim.Schedule(kMaxSimTime, [&] { seen = sim.Now(); });
   sim.Run();
   EXPECT_EQ(seen, kMaxSimTime);
-}
-
-TEST(SimulatorTest, RunForClampsAtMaxSimTime) {
-  Simulator sim;
-  sim.RunUntil(Seconds(5));
-  int hits = 0;
-  sim.Schedule(Seconds(1), [&] { ++hits; });
-  // RunFor(max duration) saturates to kMaxSimTime rather than wrapping to a
-  // boundary in the past (which would silently run nothing).
-  sim.RunFor(kMaxSimTime);
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(sim.Now(), kMaxSimTime);
 }
 
 TEST(SimulatorTest, EventDigestIsOrderSensitive) {
@@ -183,6 +120,147 @@ TEST(SimulatorTest, EventCountTracked) {
   }
   sim.Run();
   EXPECT_EQ(sim.events_executed(), 7u);
+}
+
+// Schedules from inside running callbacks, past the end of a slab block,
+// with nested schedules: each event runs once, in the heap oracle's order,
+// with its capture intact (a slot reused while its event is pending would
+// show here, where ASan cannot see it).
+class SlabChurn {
+ public:
+  explicit SlabChurn(Simulator* sim) : sim_(sim) {}
+
+  void ScheduleTracked(SimDuration delay, int depth) {
+    const uint64_t seq = sim_->events_scheduled();
+    oracle_.Push(SimEvent{sim_->Now() + delay, seq, 0});
+    runs_.push_back(0);
+    if (seq % 2 == 0) {
+      sim_->Schedule(delay, [this, seq, depth, check = ~seq] { Ran(seq, depth, check); });
+    } else {
+      char pad[96] = {};
+      pad[0] = static_cast<char>(seq);
+      sim_->Schedule(delay, [this, seq, depth, check = ~seq, pad] {
+        EXPECT_EQ(pad[0], static_cast<char>(seq));
+        Ran(seq, depth, check);
+      });
+    }
+  }
+
+  void Ran(uint64_t seq, int depth, uint64_t check) {
+    EXPECT_EQ(check, ~seq) << "capture of event " << seq << " corrupted";
+    const SimEvent expected = oracle_.PopFront();
+    EXPECT_EQ(sim_->Now(), expected.time);
+    EXPECT_EQ(seq, expected.seq);
+    ++runs_[seq];
+    if (depth == 0) {
+      // More than a block of events, scheduled while this callback's own slot
+      // is live: the slab grows under a running callback.
+      for (uint32_t i = 0; i < CallbackSlab::kSlotsPerBlock + 37; ++i) {
+        ScheduleTracked(static_cast<SimDuration>(rng_.NextBounded(Micros(40))), 1);
+      }
+    } else if (depth < 3 && seq % 3 == 0) {
+      ScheduleTracked(0, depth + 1);
+      ScheduleTracked(static_cast<SimDuration>(rng_.NextBounded(Micros(10))), depth + 1);
+    }
+  }
+
+  const std::vector<int>& runs() const { return runs_; }
+  bool oracle_empty() const { return oracle_.Empty(); }
+
+ private:
+  Simulator* sim_;
+  BinaryHeapEventQueue oracle_;
+  std::vector<int> runs_;
+  Rng rng_{0x51ab};
+};
+
+TEST(SimulatorTest, SlabGrowsUnderRunningCallbacksAndRunsEachEventOnceInOrder) {
+  Simulator sim;
+  SlabChurn churn(&sim);
+  churn.ScheduleTracked(Micros(1), 0);
+  churn.ScheduleTracked(Micros(2), 0);
+  sim.Run();
+  EXPECT_TRUE(churn.oracle_empty());
+  EXPECT_GT(churn.runs().size(), 2 * size_t{CallbackSlab::kSlotsPerBlock});
+  for (size_t seq = 0; seq < churn.runs().size(); ++seq) {
+    ASSERT_EQ(churn.runs()[seq], 1) << "event " << seq;
+  }
+  EXPECT_EQ(sim.events_executed(), sim.events_scheduled());
+}
+
+// Counts its own destruction, moved-from husks excluded.
+class CountingCapture {
+ public:
+  explicit CountingCapture(int* destroyed) : destroyed_(destroyed) {}
+  CountingCapture(CountingCapture&& other) noexcept : destroyed_(other.destroyed_) {
+    other.destroyed_ = nullptr;
+  }
+  CountingCapture(const CountingCapture&) = delete;
+  CountingCapture& operator=(const CountingCapture&) = delete;
+  CountingCapture& operator=(CountingCapture&&) = delete;
+  ~CountingCapture() {
+    if (destroyed_ != nullptr) {
+      ++*destroyed_;
+    }
+  }
+
+ private:
+  int* destroyed_;
+};
+
+TEST(SimulatorTest, DestroyingASimulatorDestroysEachPendingCaptureOnce) {
+  constexpr int kInline = 300;
+  constexpr int kPooled = 40;
+  std::vector<int> destroyed(kInline + kPooled, 0);
+  std::vector<int> ran(kInline + kPooled, 0);
+  char pad[96] = {};
+  auto pooled = [&](int i) {
+    return [&ran, i, pad, capture = CountingCapture(&destroyed[static_cast<size_t>(i)])] {
+      ran[static_cast<size_t>(i)] += 1 + pad[0];
+    };
+  };
+  // Park one block per pooled capture, so scheduling them takes blocks from
+  // the free list and destroying them must give every one back.
+  {
+    std::vector<SimCallback> warm;
+    for (int i = 0; i < kPooled; ++i) {
+      warm.emplace_back([pad] { (void)pad; });
+    }
+  }
+  const size_t parked = callback_internal::CapturePool::FreeListBlocks();
+  {
+    Simulator sim;
+    for (int i = 0; i < kInline; ++i) {
+      // Near buckets, the far overflow heap, and same-time ties.
+      const SimDuration delay = i % 5 == 0 ? Seconds(10 + i) : Micros(i % 50);
+      sim.Schedule(delay, [&ran, i, capture = CountingCapture(&destroyed[static_cast<size_t>(i)])] {
+        ++ran[static_cast<size_t>(i)];
+      });
+    }
+    for (int i = kInline; i < kInline + kPooled; ++i) {
+      SimCallback fn = pooled(i);
+      ASSERT_TRUE(fn.is_pooled());
+      sim.Schedule(i % 2 == 0 ? Micros(i) : Hours(1), std::move(fn));
+    }
+    EXPECT_EQ(callback_internal::CapturePool::FreeListBlocks(), parked - kPooled);
+    // Run part of it: executed captures are destroyed after they run.
+    sim.RunBefore(Micros(25));
+    EXPECT_FALSE(sim.empty());
+  }
+  for (size_t i = 0; i < destroyed.size(); ++i) {
+    EXPECT_EQ(destroyed[i], 1) << "capture " << i;
+    EXPECT_LE(ran[i], 1) << "capture " << i;
+  }
+  EXPECT_EQ(callback_internal::CapturePool::FreeListBlocks(), parked);
+}
+
+TEST(SimulatorTest, ResyncAtRefusesPendingEventsAndSetsTheClock) {
+  Simulator sim;
+  sim.Schedule(Millis(1), [] {});
+  EXPECT_FALSE(sim.ResyncAt(Millis(2)).ok());
+  sim.Run();
+  EXPECT_TRUE(sim.ResyncAt(Millis(2)).ok());
+  EXPECT_EQ(sim.Now(), Millis(2));
 }
 
 }  // namespace

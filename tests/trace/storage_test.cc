@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 
 #include "src/common/rng.h"
+#include "src/trace/span_log.h"
+#include "src/wire/varint.h"
 
 namespace rpcscope {
 namespace {
@@ -62,7 +68,7 @@ TEST(SpanCodecTest, RoundTripsEveryField) {
 }
 
 TEST(SpanCodecTest, EmptyBatch) {
-  const std::vector<uint8_t> bytes = SerializeSpans({});
+  const std::vector<uint8_t> bytes = SerializeSpans(std::vector<Span>{});
   Result<std::vector<Span>> back = DeserializeSpans(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->empty());
@@ -79,6 +85,117 @@ TEST(SpanCodecTest, RejectsTruncation) {
   std::vector<uint8_t> bytes = SerializeSpans(spans);
   bytes.resize(bytes.size() - 3);
   EXPECT_FALSE(DeserializeSpans(bytes).ok());
+}
+
+// The record encoder before it wrote through a cursor: one PutVarint64 per
+// field, in the record's field order.
+std::vector<uint8_t> PutVarintRecord(const Span& s) {
+  std::vector<uint8_t> out;
+  auto bits = [](double d) {
+    uint64_t b;
+    std::memcpy(&b, &d, sizeof(b));
+    return b;
+  };
+  PutVarint64(out, s.trace_id);
+  PutVarint64(out, s.span_id);
+  PutVarint64(out, s.parent_span_id);
+  PutVarint64(out, ZigzagEncode(s.method_id));
+  PutVarint64(out, ZigzagEncode(s.service_id));
+  PutVarint64(out, ZigzagEncode(s.client_cluster));
+  PutVarint64(out, ZigzagEncode(s.server_cluster));
+  PutVarint64(out, ZigzagEncode(s.start_time));
+  for (SimDuration d : s.latency.components) {
+    PutVarint64(out, ZigzagEncode(d));
+  }
+  PutVarint64(out, static_cast<uint64_t>(s.status));
+  PutVarint64(out, ZigzagEncode(s.request_payload_bytes));
+  PutVarint64(out, ZigzagEncode(s.response_payload_bytes));
+  PutVarint64(out, ZigzagEncode(s.request_wire_bytes));
+  PutVarint64(out, ZigzagEncode(s.response_wire_bytes));
+  PutVarint64(out, s.has_cpu_annotation ? 1 : 0);
+  PutVarint64(out, bits(s.normalized_cpu_cycles));
+  PutVarint64(out, s.colocated ? 1 : 0);
+  PutVarint64(out, bits(s.avoided_tax_cycles));
+  return out;
+}
+
+TEST(SpanCodecTest, OnePassRecordMatchesPutVarint64OnEdgeValues) {
+  // Unsigned fields see 0, 127, 128 and 2^63 (1, 1, 2 and 10 varint bytes);
+  // signed fields see the values whose zigzag encodings are the largest
+  // (INT64_MIN) and smallest nonzero (-1); doubles see +-0, NaN and +-inf.
+  const uint64_t unsigned_edges[] = {0, 127, 128, uint64_t{1} << 63};
+  const int64_t signed_edges[] = {std::numeric_limits<int64_t>::min(), -1, 0, 127, 128};
+  const int32_t narrow_edges[] = {std::numeric_limits<int32_t>::min(), -1, 0, 64, 128};
+  const double double_edges[] = {0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+  ASSERT_EQ(ZigzagEncode(std::numeric_limits<int64_t>::min()), UINT64_MAX);
+  ASSERT_EQ(ZigzagEncode(-1), 1u);
+  // A non-empty buffer: the record must land after what is already there.
+  std::vector<uint8_t> encoded = {0xab, 0xcd};
+  std::vector<uint8_t> expected = encoded;
+  for (size_t k = 0; k < 20; ++k) {
+    Span s;
+    s.trace_id = unsigned_edges[k % 4];
+    s.span_id = unsigned_edges[(k + 1) % 4];
+    s.parent_span_id = unsigned_edges[(k + 2) % 4];
+    s.method_id = narrow_edges[k % 5];
+    s.service_id = narrow_edges[(k + 1) % 5];
+    s.client_cluster = narrow_edges[(k + 2) % 5];
+    s.server_cluster = narrow_edges[(k + 3) % 5];
+    s.start_time = signed_edges[k % 5];
+    for (size_t c = 0; c < s.latency.components.size(); ++c) {
+      s.latency.components[c] = signed_edges[(k + c) % 5];
+    }
+    s.status = k % 2 == 0 ? StatusCode::kOk : StatusCode::kUnauthenticated;
+    s.request_payload_bytes = signed_edges[(k + 1) % 5];
+    s.response_payload_bytes = signed_edges[(k + 2) % 5];
+    s.request_wire_bytes = signed_edges[(k + 3) % 5];
+    s.response_wire_bytes = signed_edges[(k + 4) % 5];
+    s.has_cpu_annotation = k % 2 == 1;
+    s.normalized_cpu_cycles = double_edges[k % 5];
+    s.colocated = k % 3 == 0;
+    s.avoided_tax_cycles = double_edges[(k + 2) % 5];
+    AppendSpanRecord(encoded, s);
+    const std::vector<uint8_t> record = PutVarintRecord(s);
+    expected.insert(expected.end(), record.begin(), record.end());
+    ASSERT_EQ(encoded, expected) << "span " << k;
+  }
+}
+
+TEST(SpanLogTest, IndexesAndIteratesLikeAVectorAroundABlockBoundary) {
+  Rng rng(31);
+  for (size_t n : {SpanLog::kBlockSpans - 1, SpanLog::kBlockSpans, SpanLog::kBlockSpans + 1}) {
+    SpanLog log;
+    std::vector<Span> vec;
+    for (size_t i = 0; i < n; ++i) {
+      Span s = RandomSpan(rng, static_cast<int32_t>(i % 17), static_cast<int32_t>(i % 5));
+      s.start_time = static_cast<SimTime>(i);  // Tells every span apart.
+      log.push_back(s);
+      vec.push_back(s);
+    }
+    ASSERT_EQ(log.size(), n);
+    ASSERT_FALSE(log.empty());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(SpansEqual(log[i], vec[i])) << n << ": index " << i;
+    }
+    size_t i = 0;
+    for (const Span& s : log) {
+      ASSERT_LT(i, n);
+      ASSERT_TRUE(SpansEqual(s, vec[i])) << n << ": iteration " << i;
+      ++i;
+    }
+    EXPECT_EQ(i, n);
+    const std::vector<Span> copy(log.begin(), log.end());
+    ASSERT_EQ(copy.size(), n);
+    EXPECT_TRUE(SpansEqual(copy.back(), vec.back()));
+    EXPECT_TRUE(SpansEqual(log.front(), vec.front()));
+    EXPECT_TRUE(SpansEqual(log.back(), vec.back()));
+    EXPECT_EQ(SerializeSpans(log), SerializeSpans(vec));
+    log.clear();
+    EXPECT_TRUE(log.empty());
+    EXPECT_EQ(log.begin(), log.end());
+  }
 }
 
 TEST(SpanReaderTest, StreamsTheBatchOneSpanAtATime) {
@@ -126,7 +243,7 @@ TEST(SpanReaderTest, SurfacesTruncationMidStream) {
 }
 
 TEST(SpanReaderTest, RejectsTrailingBytes) {
-  std::vector<uint8_t> bytes = SerializeSpans({});
+  std::vector<uint8_t> bytes = SerializeSpans(std::vector<Span>{});
   bytes.push_back(0x7f);
   Result<SpanReader> reader = SpanReader::Open(bytes);
   ASSERT_TRUE(reader.ok());

@@ -9,6 +9,7 @@
 #include "src/trace/span.h"
 #include "src/trace/storage.h"
 #include "src/trace/tree.h"
+#include "src/wire/varint.h"
 
 namespace rpcscope {
 namespace {
@@ -294,6 +295,75 @@ TEST(TraceCollectorTest, IncrementalCheckpointEqualsFullSerialization) {
   expect_full(d);
   RestoreCollector(d, saved);
   expect_full(d);
+}
+
+TEST(TraceCollectorTest, RestoreReplacesTheLogAroundABlockBoundary) {
+  // Restores decode straight into the span log: one span fewer than a block,
+  // exactly one block and one span more, each over a log that held something
+  // else, read back equal by index and by iteration.
+  uint64_t n = 0;
+  for (size_t count : {SpanLog::kBlockSpans - 1, SpanLog::kBlockSpans, SpanLog::kBlockSpans + 1}) {
+    TraceCollector source;
+    std::vector<Span> expected;
+    for (size_t i = 0; i < count; ++i) {
+      expected.push_back(NumberedSpan(++n));
+      ASSERT_TRUE(source.Record(expected.back()));
+    }
+    CheckpointWriter saved;
+    ASSERT_TRUE(source.CheckpointTo(saved).ok());
+
+    TraceCollector restored;
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(restored.Record(NumberedSpan(1000000 + static_cast<uint64_t>(i))));
+    }
+    RestoreCollector(restored, saved);
+    const SpanLog& log = restored.spans();
+    ASSERT_EQ(log.size(), count);
+    for (size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(log[i].span_id, expected[i].span_id) << count << ": index " << i;
+    }
+    size_t i = 0;
+    for (const Span& span : log) {
+      ASSERT_EQ(span.span_id, expected[i++].span_id) << count;
+    }
+    EXPECT_EQ(i, count);
+    EXPECT_EQ(SerializeSpans(log), SerializeSpans(expected));
+  }
+}
+
+TEST(TraceCollectorTest, RestoredV1BatchIsEncodedAgainAsV2) {
+  // A v1 record is a v2 record without its last two fields; with both at
+  // their defaults those are two one-byte varints.
+  std::vector<Span> spans = {NumberedSpan(1), NumberedSpan(2), NumberedSpan(3)};
+  std::vector<uint8_t> v1 = {'R', 'S', 'P', 'N'};
+  PutVarint64(v1, 1);
+  PutVarint64(v1, spans.size());
+  for (Span& span : spans) {
+    span.colocated = false;
+    span.avoided_tax_cycles = 0;
+    std::vector<uint8_t> record;
+    AppendSpanRecord(record, span);
+    v1.insert(v1.end(), record.begin(), record.end() - 2);
+  }
+  CheckpointWriter saved;
+  saved.BeginSection("trace_collector");
+  saved.WriteU64(UINT64_MAX);  // The default options' sampling threshold.
+  saved.WriteU64(0);           // Id offset.
+  saved.WriteU64(spans.size());
+  saved.WriteU64(0);
+  saved.WriteU64(100);
+  saved.WriteBytes(v1);
+  saved.EndSection();
+
+  TraceCollector collector;
+  RestoreCollector(collector, saved);
+  ASSERT_EQ(collector.spans().size(), spans.size());
+  // The v1 records cannot serve as the v2 cache: the next checkpoint carries
+  // a full v2 batch, and records added later extend it.
+  EXPECT_EQ(CheckpointedSpanBlob(collector), SerializeSpans(spans));
+  ASSERT_TRUE(collector.Record(NumberedSpan(4)));
+  spans.push_back(NumberedSpan(4));
+  EXPECT_EQ(CheckpointedSpanBlob(collector), SerializeSpans(spans));
 }
 
 // Builds a small forest:
